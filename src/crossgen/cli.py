@@ -19,7 +19,7 @@ from .corpus import (MonolingualCorpus, SynthConfig, load_mono_jsonl,
 from .evaluation import evaluate_corpus, save_report
 from .experiments import (build_experiment_data, eval_task, finetune_cloned,
                           flipped_tag_membership, run_pretraining)
-from .generation import DecodeConfig, beam_search, restrict_vocab
+from .generation import DecodeConfig, beam_search_many, restrict_vocab
 from .model import (ModelConfig, Seq2SeqModel, checkpoint_digest,
                     load_checkpoint, save_checkpoint)
 from .noising import NoiseConfig
@@ -211,13 +211,14 @@ def cmd_generate(cfg, args) -> int:
         allowed = restrict_vocab(load_mono_jsonl(args.restrict, langs))
     beam = args.beam if args.beam is not None else cfg["decode"]["beam_size"]
     max_len = args.max_len if args.max_len is not None else cfg["decode"]["max_len"]
-    outputs = []
-    for row in rows:
-        dcfg = DecodeConfig(tgt_lang=langs[row["tgt_lang"]], beam_size=beam,
-                            max_len=max_len, allowed_vocab=allowed)
-        ids, score = beam_search(model, [int(i) for i in row["input"]],
-                                 langs[row["src_lang"]], dcfg)
-        outputs.append({"output": ids, "score": score})
+    dcfg = DecodeConfig(tgt_lang=[langs[row["tgt_lang"]] for row in rows], beam_size=beam,
+                        max_len=max_len, allowed_vocab=allowed)
+    try:
+        decoded = beam_search_many(model, [[int(i) for i in row["input"]] for row in rows],
+                                   [langs[row["src_lang"]] for row in rows], dcfg)
+    except ValueError as exc:
+        raise UsageError(f"{args.manifest}: {exc}") from None
+    outputs = [{"output": ids, "score": score} for ids, score in decoded]
     with open(args.out, "w", encoding="utf-8") as fh:
         for rec in outputs:
             fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")

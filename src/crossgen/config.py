@@ -68,6 +68,8 @@ def _check_against(defaults, value, path: str):
         raise ConfigError(f"config key {path[:-1]} has wrong type")
     if isinstance(defaults, (int, float)) and not isinstance(value, (int, float)):
         raise ConfigError(f"config key {path[:-1]} must be a number")
+    if isinstance(defaults, int) and not isinstance(value, int):
+        raise ConfigError(f"config key {path[:-1]} must be an integer, got {value!r}")
     if isinstance(defaults, str) and not isinstance(value, str):
         raise ConfigError(f"config key {path[:-1]} must be a string")
     if isinstance(defaults, list) and not isinstance(value, list):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 from .corpus import (MonolingualCorpus, SynthConfig, TaskExample, TwinData,
                      generate_twin_languages, make_task_dataset)
 from .evaluation import MetricReport, evaluate_corpus, lang_membership
-from .generation import DecodeConfig, beam_search
+from .generation import DecodeConfig, beam_search_many
 from .model import Seq2SeqModel
 from .noising import NoiseConfig
 from .training import (OptimizerConfig, TraceRow, finetune, pretrain_stage1,
@@ -78,10 +78,6 @@ def run_pretraining(model: Seq2SeqModel, data: ExperimentData,
     return trace
 
 
-def decode_batch(model: Seq2SeqModel, inputs, src_lang, cfg: DecodeConfig):
-    return [beam_search(model, ids, src_lang, cfg)[0] for ids in inputs]
-
-
 def eval_task(model: Seq2SeqModel, examples: list[TaskExample], tgt_lang,
               beam_size: int = 3, max_len: int = 8,
               allowed_vocab: set[int] | None = None,
@@ -89,7 +85,9 @@ def eval_task(model: Seq2SeqModel, examples: list[TaskExample], tgt_lang,
     """Decode task inputs under `tgt_lang` and score against the references."""
     cfg = DecodeConfig(tgt_lang=tgt_lang, beam_size=beam_size, max_len=max_len,
                        allowed_vocab=allowed_vocab)
-    hyps = [beam_search(model, ex.input, ex.lang, cfg)[0] for ex in examples]
+    decoded = beam_search_many(model, [ex.input for ex in examples],
+                               [ex.lang for ex in examples], cfg)
+    hyps = [out for out, _ in decoded]
     refs = [ex.target for ex in examples]
     return evaluate_corpus(hyps, refs, lexicon=lexicon)
 
@@ -103,8 +101,7 @@ def flipped_tag_membership(model: Seq2SeqModel, data: ExperimentData,
     for src, tgt in ((twin.lang_a, twin.lang_b), (twin.lang_b, twin.lang_a)):
         lexicon = twin.lexicons[tgt.name]
         cfg = DecodeConfig(tgt_lang=tgt, beam_size=beam_size, max_len=max_len)
-        for sent in data.probe_sentences[src.name]:
-            out, _ = beam_search(model, sent, src, cfg)
+        for out, _ in beam_search_many(model, data.probe_sentences[src.name], src, cfg):
             scores.append(lang_membership(out, lexicon))
     return sum(scores) / len(scores)
 

@@ -68,6 +68,15 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert "stage1.bogus_knob" in capsys.readouterr().err
 
 
+def test_non_integer_value_for_integer_key_exits_2(workspace, tmp_path, capsys):
+    out = tmp_path / "s1.ckpt"
+    code = run(*FAST, "--set", "stage1.steps=2.5", "pretrain", "--stage", "1",
+               "--data", str(workspace["data"]), "--out", str(out))
+    assert code == 2
+    assert "stage1.steps" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_file_overlay(tmp_path):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"data": {"n_mono": 41}}))
@@ -183,6 +192,20 @@ def test_generate_with_restriction(workspace, tmp_path):
     for line in (workspace["data"] / "mono_lb.jsonl").read_text().splitlines():
         allowed.update(json.loads(line)["ids"])
     assert all(t in allowed for t in row["output"])
+
+
+def test_generate_rejects_over_long_input(workspace, tmp_path, capsys):
+    manifest = tmp_path / "long.jsonl"
+    with manifest.open("w") as fh:
+        for ids in ([6, 7], [6, 7] * 20):   # the second is longer than max_positions=32
+            fh.write(json.dumps({"input": ids, "src_lang": "la", "tgt_lang": "lb"}) + "\n")
+    out = tmp_path / "o.jsonl"
+    code = run(*FAST, "generate", "--ckpt", str(workspace["stage2"]),
+               "--manifest", str(manifest), "--out", str(out))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(manifest) in err and "input 1 has 40 tokens" in err
+    assert not out.exists()
 
 
 def test_malformed_manifest_reports_line(workspace, tmp_path, capsys):

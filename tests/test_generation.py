@@ -3,10 +3,15 @@ import pytest
 
 from oracles import exhaustive_decode
 
-from crossgen.corpus import MonolingualCorpus
-from crossgen.generation import DecodeConfig, beam_search, restrict_vocab
+from crossgen import generation
+from crossgen.autodiff import Tensor
+from crossgen.corpus import MonolingualCorpus, TaskExample
+from crossgen.evaluation import evaluate_corpus
+from crossgen.experiments import eval_task
+from crossgen.generation import (BeamHypothesis, DecodeConfig, beam_search, beam_search_many,
+                                 restrict_vocab)
 from crossgen.model import ModelConfig, Seq2SeqModel
-from crossgen.vocab import (BOS_ID, EOS_ID, MASK_ID, NUM_SPECIALS, PAD_ID,
+from crossgen.vocab import (BOS_ID, EOS_ID, MASK_ID, NUM_SPECIALS, PAD_ID, SEP_ID,
                             LanguageTag)
 
 LA = LanguageTag(0, "la")
@@ -145,10 +150,15 @@ def test_outputs_respect_restriction_and_length():
         assert all(t in allowed - {EOS_ID} for t in out)
 
 
-def test_source_truncation_to_max_positions():
+def test_over_long_input_rejected():
     model = tiny_model(3)
     long_input = [6, 7, 8, 9] * 8  # longer than max_positions=16
-    out, _ = beam_search(model, long_input, LA, DecodeConfig(tgt_lang=LB, max_len=3))
+    with pytest.raises(ValueError, match="input 0 has 32 tokens.*max_positions 16"):
+        beam_search(model, long_input, LA, DecodeConfig(tgt_lang=LB, max_len=3))
+    with pytest.raises(ValueError, match="input 1 has 32 tokens"):
+        beam_search_many(model, [[6, 7], long_input], LA, DecodeConfig(tgt_lang=LB, max_len=3))
+    # exactly max_positions tokens still decode
+    out, _ = beam_search(model, long_input[:16], LA, DecodeConfig(tgt_lang=LB, max_len=3))
     assert len(out) <= 3
 
 
@@ -170,3 +180,129 @@ def test_decoding_is_deterministic():
     model = tiny_model(5)
     cfg = DecodeConfig(tgt_lang=LB, beam_size=3, max_len=5)
     assert beam_search(model, [6, 7, 8], LA, cfg) == beam_search(model, [6, 7, 8], LA, cfg)
+
+
+def _encode_padded(model, sources, src_tags):
+    width = max(len(s) for s in sources)
+    ids = np.full((len(sources), width), PAD_ID)
+    pad = np.ones((len(sources), width), dtype=bool)
+    for i, s in enumerate(sources):
+        ids[i, :len(s)], pad[i, :len(s)] = s, False
+    tags = np.repeat(np.asarray(src_tags)[:, None], width, axis=1)
+    return model.encode(ids, tags, pad), pad
+
+
+def test_incremental_decoder_matches_full_prefix_logits():
+    """Two tokens, then one token per step through the K/V cache, with a row
+    reorder midway, give the teacher-forced logits of every position."""
+    from crossgen.autodiff import no_grad
+
+    cfg = ModelConfig(enc_layers=1, dec_layers=2, d_model=8, n_heads=2, d_ffn=16,
+                      max_positions=16, vocab_size=12, num_languages=2, dtype="float64")
+    rng = np.random.default_rng(0)
+    for seed in range(4):
+        model = Seq2SeqModel.build(cfg, seed=seed)
+        sources = [[6, 7, 8], [9, 10, 11, 6, 7], [8]]
+        src_tags, tgt_tags = np.array([0, 1, 0]), np.array([1, 1, 0])
+        targets = rng.integers(NUM_SPECIALS, 12, size=(3, 7))
+        targets[:, 0] = BOS_ID
+        reorder_at, rows = 3, np.array([2, 0, 0])
+        with no_grad():
+            enc, pad = _encode_padded(model, sources, src_tags)
+            cache = model.start_decoding(enc, pad)
+            for lo in [0, *range(2, targets.shape[1])]:
+                hi = 2 if lo == 0 else lo + 1
+                if lo == reorder_at:
+                    cache.reorder(rows)
+                    targets, tgt_tags = targets[rows], tgt_tags[rows]
+                    enc, pad = Tensor(enc.data[rows]), pad[rows]
+                step = model.decode_forward(None, None, targets[:, lo:hi], tgt_tags,
+                                            cache=cache).data
+                full = model.decode_forward(enc, pad, targets[:, :hi], tgt_tags).data[:, lo:]
+                np.testing.assert_allclose(step, full, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("beam", [1, 3, 8])
+@pytest.mark.parametrize("restricted", [False, True])
+def test_batched_decode_equals_decoding_each_source_alone(monkeypatch, beam, restricted):
+    monkeypatch.setattr(generation, "CHUNK_SOURCES", 4)   # several chunks, one partial
+    allowed = {EOS_ID, 6, 7, 9} if restricted else None
+    sources = [[6, 7, 8], [9], [8, 9, 6, 7, 9, 8], [7, 7], [6, 9, 8, 7], [9, 6],
+               [8, 8, 8, 8, 8], [6], [7, 8, 9], [9, 9, 6, 6, 7, 8, 6]]
+    src_langs = [LA if i % 2 else LB for i in range(len(sources))]
+    tgt_langs = [LB if i % 3 else LA for i in range(len(sources))]
+    for seed in range(3):
+        model = tiny_model(seed)
+        cfg = DecodeConfig(tgt_lang=tgt_langs, beam_size=beam, max_len=6,
+                           allowed_vocab=allowed)
+        batched = beam_search_many(model, sources, src_langs, cfg)
+        for src, s_lang, t_lang, (out, score) in zip(sources, src_langs, tgt_langs, batched):
+            alone, alone_score = beam_search(
+                model, src, s_lang, DecodeConfig(tgt_lang=t_lang, beam_size=beam, max_len=6,
+                                                 allowed_vocab=allowed))
+            assert out == alone
+            assert score == pytest.approx(alone_score, abs=1e-9)
+
+
+def test_exact_ties_resolve_by_lexicographic_ids():
+    """With the final layer norm zeroed, every step's logits are exactly the
+    output bias, so equal biases give exactly tied candidates."""
+    model = tiny_model(0)
+    for name in ("dec.final_ln.g", "dec.final_ln.b"):
+        model.params[name].data[:] = 0.0
+    bias = model.params["out_bias"].data
+    bias[:] = 0.0
+    bias[[7, 8]] = 1.0
+    allowed = {EOS_ID, 7, 8}
+    for beam in (1, 2):   # a third slot would admit [EOS], which then wins as finished
+        cfg = DecodeConfig(tgt_lang=LB, beam_size=beam, max_len=3, allowed_vocab=allowed)
+        results = beam_search_many(model, [[6, 9], [7]], LA, cfg)
+        assert [out for out, _ in results] == [[7, 7, 7], [7, 7, 7]]
+    # EOS (id 4) ties with 7 and wins on ids: the output is empty
+    bias[EOS_ID] = 1.0
+    out, _ = beam_search(model, [6, 9], LA, DecodeConfig(tgt_lang=LB, beam_size=1, max_len=3,
+                                                         allowed_vocab=allowed))
+    assert out == []
+
+
+def test_top_k_equals_full_sort_under_ties():
+    """Selection from the candidates at or above the k-th score equals sorting
+    every candidate by BeamHypothesis.sort_key, on scores with many exact ties."""
+    rng = np.random.default_rng(3)
+    allowed = np.array([EOS_ID, 6, 7, 8])
+    for _ in range(300):
+        def hyp(finished):
+            body = [int(t) for t in rng.integers(6, 9, size=rng.integers(0, 3))]
+            return BeamHypothesis([BOS_ID] + body + ([EOS_ID] if finished else []),
+                                  float(rng.integers(-4, 0)), finished)
+
+        finished = [hyp(True) for _ in range(rng.integers(0, 3))]
+        live = [hyp(False) for _ in range(rng.integers(1, 4))]
+        scores = (np.array([h.score for h in live])[:, None]
+                  + rng.integers(-3, 0, size=(len(live), len(allowed))))
+        k = int(rng.integers(1, 7))
+        everything = finished + [
+            BeamHypothesis(h.ids + [int(tok)], float(scores[j, a]), tok == EOS_ID)
+            for j, h in enumerate(live) for a, tok in enumerate(allowed)]
+        want = sorted(everything, key=BeamHypothesis.sort_key)[:k]
+        got = generation._top_k(finished, live, scores, 10, allowed, k)
+        assert [h for h, _ in got] == want
+        for h, row in got:
+            if row is not None:
+                assert h.ids[:-1] == live[row - 10].ids
+
+
+def test_eval_task_equals_per_example_decoding(monkeypatch):
+    monkeypatch.setattr(generation, "CHUNK_SOURCES", 3)
+    rng = np.random.default_rng(5)
+    def ids(lo, hi):
+        return [int(t) for t in rng.integers(6, 10, size=rng.integers(lo, hi))]
+
+    examples = [TaskExample(input=ids(1, 6) + [SEP_ID] + ids(1, 3), target=ids(1, 4),
+                            lang=LA if i % 2 else LB)
+                for i in range(8)]
+    model = tiny_model(2)
+    report = eval_task(model, examples, LB, beam_size=3, max_len=5, lexicon={6, 7})
+    cfg = DecodeConfig(tgt_lang=LB, beam_size=3, max_len=5)
+    hyps = [beam_search(model, ex.input, ex.lang, cfg)[0] for ex in examples]
+    assert report == evaluate_corpus(hyps, [ex.target for ex in examples], lexicon={6, 7})

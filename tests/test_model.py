@@ -204,6 +204,16 @@ def test_checkpoint_shape_mismatch_fails_loudly(tmp_path, verify_model):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("edit", ["append", "cut"])
+def test_checkpoint_payload_length_must_match_header(tmp_path, verify_model, edit):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(verify_model, path)
+    blob = path.read_bytes()
+    path.write_bytes(blob + b"\x00" * 22 if edit == "append" else blob[:-22])
+    with pytest.raises(ValueError, match="payload"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "junk.ckpt"
     path.write_bytes(b"\x00\x01\x02 not a checkpoint\n")
