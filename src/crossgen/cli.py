@@ -18,13 +18,13 @@ from .corpus import (MonolingualCorpus, SynthConfig, load_mono_jsonl,
                      save_mono_jsonl, save_parallel_jsonl, save_task_jsonl)
 from .evaluation import evaluate_corpus, save_report
 from .experiments import (build_experiment_data, eval_task, finetune_cloned,
-                          flipped_tag_membership, run_pretraining)
+                          membership_cells, pretrain_variants)
 from .generation import DecodeConfig, beam_search_many, restrict_vocab
 from .model import (ModelConfig, Seq2SeqModel, checkpoint_digest,
                     load_checkpoint, save_checkpoint)
 from .noising import NoiseConfig
-from .training import (FINETUNE_STRATEGIES, OptimizerConfig, finetune,
-                       pretrain_stage1, pretrain_stage2, save_trace_csv, stage2_plan)
+from .training import (FINETUNE_STRATEGIES, OptimizerConfig, finetune, pretrain_stage1,
+                       pretrain_stage2, save_trace_csv, stage1_plan, stage2_plan)
 from .vocab import NUM_SPECIALS, LanguageTag, Vocab, learn_vocab
 
 
@@ -145,25 +145,20 @@ def cmd_pretrain(cfg, args) -> int:
         _guard_output(args.trace, args.force)
     vocab = _load_vocab(args.data)
     mono, parallel = _load_corpora(cfg, args.data)
-    noise = _noise_config(cfg)
 
-    ckpt_dir = os.path.dirname(os.path.abspath(args.out))
     if args.stage == 1:
         model = Seq2SeqModel.build(_model_config(cfg, len(vocab)), seed=cfg["seed"])
-        trace = pretrain_stage1(model, mono, parallel, _opt_config(cfg["stage1"]),
-                                noise, batch_size=cfg["stage1"]["batch_size"],
-                                seed=cfg["seed"], checkpoint_every=args.save_every,
-                                checkpoint_dir=ckpt_dir)
+        train, plan = pretrain_stage1, stage1_plan()
     else:
         if not args.init:
             raise UsageError("pretrain --stage 2 requires --init <stage-1 checkpoint>")
         model = load_checkpoint(args.init)
-        plan = stage2_plan(dae_weight=cfg["stage2"]["dae_weight"])
-        trace = pretrain_stage2(model, mono, parallel, _opt_config(cfg["stage2"]),
-                                noise, batch_size=cfg["stage2"]["batch_size"],
-                                seed=cfg["seed"], plan=plan,
-                                checkpoint_every=args.save_every,
-                                checkpoint_dir=ckpt_dir)
+        train, plan = pretrain_stage2, stage2_plan(dae_weight=cfg["stage2"]["dae_weight"])
+    section = cfg[f"stage{args.stage}"]
+    trace = train(model, mono, parallel, _opt_config(section), _noise_config(cfg),
+                  batch_size=section["batch_size"], seed=cfg["seed"], plan=plan,
+                  checkpoint_every=args.save_every,
+                  checkpoint_dir=os.path.dirname(os.path.abspath(args.out)))
     save_checkpoint(model, args.out)
     if args.trace:
         save_trace_csv(trace, args.trace)
@@ -260,47 +255,45 @@ def cmd_ablate(cfg, args) -> int:
     bundle = build_experiment_data(_synth_config(cfg), data_cfg["task_train"],
                                    data_cfg["task_eval"], data_cfg["n_probe"])
     twin = bundle.twin
-    mconfig = _model_config(cfg, len(twin.vocab))
-    noise = _noise_config(cfg)
-    s1, s2 = _opt_config(cfg["stage1"]), _opt_config(cfg["stage2"])
-    ft = _opt_config(cfg["finetune"])
     seed = cfg["seed"]
     name_a, name_b = twin.lang_a.name, twin.lang_b.name
     beam = cfg["decode"]["beam_size"]
+    ft, ft_batch = _opt_config(cfg["finetune"]), cfg["finetune"]["batch_size"]
 
-    def pretrain(use_dae: bool, use_xae: bool) -> Seq2SeqModel:
-        model = Seq2SeqModel.build(mconfig, seed=seed)
-        run_pretraining(model, bundle, s1, s2, noise, cfg["stage1"]["batch_size"],
-                        seed, use_dae=use_dae, use_xae=use_xae)
-        return model
+    # the pre-trained variants share one stage-1 run; "full" is also the
+    # strategies' base unless --init gives one
+    ablations = [w for w in ("no_xae", "no_dae") if w in which]
+    variants = ["full"] + ablations if ablations or not args.init else []
+    models = {}
+    if variants:
+        models = pretrain_variants(
+            Seq2SeqModel.build(_model_config(cfg, len(twin.vocab)), seed=seed), bundle,
+            variants, _opt_config(cfg["stage1"]), _opt_config(cfg["stage2"]),
+            _noise_config(cfg), seed, s1_batch=cfg["stage1"]["batch_size"],
+            s2_batch=cfg["stage2"]["batch_size"], dae_weight=cfg["stage2"]["dae_weight"])
 
     report: dict = {"seed": seed, "which": which, "rows": []}
 
-    if "no_xae" in which or "no_dae" in which:
-        variants = [("full", True, True)]
-        if "no_xae" in which:
-            variants.append(("no_xae", True, False))
-        if "no_dae" in which:
-            variants.append(("no_dae", False, True))
-        for name, use_dae, use_xae in variants:
-            model = pretrain(use_dae, use_xae)
-            membership = flipped_tag_membership(model, bundle, beam_size=beam)
-            tuned = finetune_cloned(model, bundle.task_train[name_a], "et", ft,
-                                    batch_size=cfg["finetune"]["batch_size"], seed=seed)
+    if ablations:
+        for name in variants:
+            cells = membership_cells(models[name], bundle, beam_size=beam)
+            flipped = cells[name_a, name_b] + cells[name_b, name_a]
+            tuned = finetune_cloned(models[name], bundle.task_train[name_a], "et", ft,
+                                    batch_size=ft_batch, seed=seed)
             zero_shot = eval_task(tuned, bundle.task_eval[name_b], twin.lang_b,
                                   beam_size=beam)
             report["rows"].append({
                 "variant": name,
-                "flipped_membership": membership,
+                "flipped_membership": sum(flipped) / len(flipped),
                 "zero_shot_bleu4": zero_shot.bleu4,
                 "zero_shot_rouge2": zero_shot.rouge2,
             })
 
     if "strategies" in which:
-        base = load_checkpoint(args.init) if args.init else pretrain(True, True)
+        base = load_checkpoint(args.init) if args.init else models["full"]
         for strategy in ("all", "enc", "dec", "et"):
             tuned = finetune_cloned(base, bundle.task_train[name_a], strategy, ft,
-                                    batch_size=cfg["finetune"]["batch_size"], seed=seed)
+                                    batch_size=ft_batch, seed=seed)
             supervised = eval_task(tuned, bundle.task_eval[name_a], twin.lang_a,
                                    beam_size=beam)
             zero_shot = eval_task(tuned, bundle.task_eval[name_b], twin.lang_b,

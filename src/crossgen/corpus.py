@@ -218,13 +218,6 @@ def make_task_dataset(corpus: MonolingualCorpus, n: int, seed: int,
     return examples
 
 
-def recompute_task_target(input_ids: Sequence[int], marker_id: int) -> list[int]:
-    """The deterministic input -> target rule, for verification."""
-    sep = list(input_ids).index(SEP_ID)
-    span = list(input_ids[sep + 1:])
-    return list(reversed(span)) + [marker_id]
-
-
 # ---------------------------------------------------------------------------
 # JSONL persistence. One record per line; round trips are bit-exact.
 

@@ -1,13 +1,14 @@
 """End-to-end experiment helpers shared by the CLI and the verification suite.
 
-Bundles synthetic data with held-out pools, runs pre-training variants with a
-shared stage-1 checkpoint, and wraps decoding-based evaluations (task metrics,
-flipped-tag language membership).
+Bundles synthetic data with held-out pools, pre-trains stage-2 variants on
+copies of one stage-1 model, and wraps decoding-based evaluations (task
+metrics, the source-tag/target-tag language-membership grid).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 from .corpus import (MonolingualCorpus, SynthConfig, TaskExample, TwinData,
                      generate_twin_languages, make_task_dataset)
@@ -15,8 +16,8 @@ from .evaluation import MetricReport, evaluate_corpus, lang_membership
 from .generation import DecodeConfig, beam_search_many
 from .model import Seq2SeqModel
 from .noising import NoiseConfig
-from .training import (OptimizerConfig, TraceRow, finetune, pretrain_stage1,
-                       pretrain_stage2, stage2_plan)
+from .training import (OptimizerConfig, finetune, pretrain_stage1, pretrain_stage2,
+                       stage2_plan)
 from .autodiff import Tensor
 
 
@@ -61,21 +62,29 @@ def clone_model(model: Seq2SeqModel) -> Seq2SeqModel:
     return Seq2SeqModel(model.config, params)
 
 
-def run_pretraining(model: Seq2SeqModel, data: ExperimentData,
-                    s1_cfg: OptimizerConfig, s2_cfg: OptimizerConfig,
-                    noise_cfg: NoiseConfig, batch_size: int, seed: int,
-                    use_dae: bool = True, use_xae: bool = True,
-                    skip_stage2: bool = False) -> list[TraceRow]:
-    """Both stages in place; ablation flags only touch the stage-2 mix."""
+# stage-2 objective ablations, as stage2_plan flags
+STAGE2_VARIANTS = {"full": {}, "no_xae": {"use_xae": False}, "no_dae": {"use_dae": False}}
+
+
+def pretrain_variants(model: Seq2SeqModel, data: ExperimentData, variants: Sequence[str],
+                      s1_cfg: OptimizerConfig, s2_cfg: OptimizerConfig,
+                      noise_cfg: NoiseConfig, seed: int, s1_batch: int = 16,
+                      s2_batch: int = 16,
+                      dae_weight: float = 0.5) -> dict[str, Seq2SeqModel]:
+    """Stage 1 on `model` in place, then each named stage-2 variant on its own
+    copy of it. Stage 1 depends only on the seed, so sharing it gives every
+    variant the same parameters as a separate two-stage run."""
     mono = [data.pretrain_mono[data.twin.lang_a.name],
             data.pretrain_mono[data.twin.lang_b.name]]
-    trace = pretrain_stage1(model, mono, data.twin.parallel, s1_cfg, noise_cfg,
-                            batch_size=batch_size, seed=seed)
-    if not skip_stage2:
-        plan = stage2_plan(use_dae=use_dae, use_xae=use_xae)
-        trace += pretrain_stage2(model, mono, data.twin.parallel, s2_cfg, noise_cfg,
-                                 batch_size=batch_size, seed=seed, plan=plan)
-    return trace
+    pretrain_stage1(model, mono, data.twin.parallel, s1_cfg, noise_cfg,
+                    batch_size=s1_batch, seed=seed)
+    models = {}
+    for name in variants:
+        models[name] = clone_model(model)
+        pretrain_stage2(models[name], mono, data.twin.parallel, s2_cfg, noise_cfg,
+                        batch_size=s2_batch, seed=seed,
+                        plan=stage2_plan(dae_weight, **STAGE2_VARIANTS[name]))
+    return models
 
 
 def eval_task(model: Seq2SeqModel, examples: list[TaskExample], tgt_lang,
@@ -92,18 +101,22 @@ def eval_task(model: Seq2SeqModel, examples: list[TaskExample], tgt_lang,
     return evaluate_corpus(hyps, refs, lexicon=lexicon)
 
 
-def flipped_tag_membership(model: Seq2SeqModel, data: ExperimentData,
-                           beam_size: int = 3, max_len: int = 16) -> float:
-    """Decode held-out sentences with the *other* language's tag and measure
-    how much of the output lands in that language's lexicon (both directions)."""
-    twin = data.twin
-    scores = []
-    for src, tgt in ((twin.lang_a, twin.lang_b), (twin.lang_b, twin.lang_a)):
-        lexicon = twin.lexicons[tgt.name]
-        cfg = DecodeConfig(tgt_lang=tgt, beam_size=beam_size, max_len=max_len)
-        for out, _ in beam_search_many(model, data.probe_sentences[src.name], src, cfg):
-            scores.append(lang_membership(out, lexicon))
-    return sum(scores) / len(scores)
+def membership_cells(model: Seq2SeqModel, data: ExperimentData,
+                     beam_size: int = 3) -> dict[tuple[str, str], list[float]]:
+    """Decode each language's held-out sentences, up to 16 tokens, under each
+    language's tag. Returns the 2x2 grid keyed (source language, forced tag),
+    each cell holding the per-sentence share of output tokens in the tag
+    language's lexicon."""
+    langs = (data.twin.lang_a, data.twin.lang_b)
+    cells = {}
+    for src in langs:
+        for tag in langs:
+            cfg = DecodeConfig(tgt_lang=tag, beam_size=beam_size, max_len=16)
+            lexicon = data.twin.lexicons[tag.name]
+            cells[src.name, tag.name] = [
+                lang_membership(out, lexicon)
+                for out, _ in beam_search_many(model, data.probe_sentences[src.name], src, cfg)]
+    return cells
 
 
 def finetune_cloned(model: Seq2SeqModel, dataset, strategy: str,

@@ -2,8 +2,11 @@
 
 Losses are per-example sums of negative log-likelihoods (masked positions for
 the encoder objectives, target tokens plus EOS for the decoder objectives),
-averaged over the batch. Stages alternate batches between their objectives;
-freezing is enforced by handing the optimizer only the trainable groups.
+averaged over the batch. Stage 1, stage 2 and fine-tuning are plans for one
+step loop: a plan names the trainable parameter groups and a weighted mix of
+objectives, which take turns step by step. Freezing is enforced by handing
+the optimizer only the trainable groups. A non-finite loss stops the run, and
+so do non-finite parameters where a checkpoint is due.
 """
 
 from __future__ import annotations
@@ -75,10 +78,6 @@ class Adam:
             vhat = self.v[name] / (1 - b2 ** self.step_count)
             p.data = p.data - lr * mhat / (np.sqrt(vhat) + self.cfg.eps)
         return lr
-
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.grad = None
 
 
 # ---------------------------------------------------------------------------
@@ -206,16 +205,25 @@ FINETUNE_DEFAULT_LR = 5e-6
 
 @dataclass
 class StagePlan:
-    stage: int
+    """One training run: the parameter groups it updates and its objective mix.
+
+    `stream` names the run's RNG stream; joined with "_" it prefixes the run's
+    periodic checkpoint files. Objectives with positive weight take turns, one
+    per step, in the order given.
+    """
+
+    stream: tuple[str, ...]
     trainable_groups: frozenset[ParamGroup]
     objective_weights: dict[str, float]
 
     def __post_init__(self):
-        if self.stage == 2:
+        if self.stream == ("stage2",):
             banned = {ParamGroup.ENCODER_LAYERS, ParamGroup.WORD_EMBEDDINGS,
                       ParamGroup.TAG_AND_POSITION_EMBEDDINGS}
             if self.trainable_groups & banned:
                 raise ValueError("stage 2 must keep the encoder and embeddings fixed")
+        if not self.objectives:
+            raise ValueError("a plan needs at least one active objective")
 
     @property
     def objectives(self) -> list[str]:
@@ -223,15 +231,21 @@ class StagePlan:
 
 
 def stage1_plan() -> StagePlan:
-    return StagePlan(1, STAGE1_GROUPS, {"mlm": 1.0, "xmlm": 1.0})
+    return StagePlan(("stage1",), STAGE1_GROUPS, {"mlm": 1.0, "xmlm": 1.0})
 
 
 def stage2_plan(dae_weight: float = 0.5, use_dae: bool = True,
                 use_xae: bool = True) -> StagePlan:
-    weights = {"dae": dae_weight if use_dae else 0.0, "xae": 1.0 if use_xae else 0.0}
-    if not any(w > 0 for w in weights.values()):
-        raise ValueError("stage 2 needs at least one active objective")
-    return StagePlan(2, STAGE2_GROUPS, weights)
+    return StagePlan(("stage2",), STAGE2_GROUPS,
+                     {"dae": dae_weight if use_dae else 0.0, "xae": 1.0 if use_xae else 0.0})
+
+
+def finetune_plan(strategy: str) -> StagePlan:
+    key = strategy.lower()
+    if key not in FINETUNE_STRATEGIES:
+        raise ValueError(f"unknown fine-tuning strategy {strategy!r}; "
+                         f"expected one of {sorted(FINETUNE_STRATEGIES)}")
+    return StagePlan(("finetune", key), FINETUNE_STRATEGIES[key], {"task": 1.0})
 
 
 @dataclass
@@ -250,62 +264,66 @@ def save_trace_csv(trace: Sequence[TraceRow], path) -> None:
             writer.writerow([row.step, row.objective, repr(row.loss), repr(row.lr)])
 
 
-def _mono_pool(corpora: Sequence[MonolingualCorpus]) -> list[tuple[list[int], LanguageTag]]:
-    return [(s, c.lang) for c in corpora for s in c.sentences]
+def _draw(items: Sequence, rng: np.random.Generator, n: int) -> list:
+    return [items[int(i)] for i in rng.integers(0, len(items), size=n)]
 
 
-def _periodic_save(model, label: str, step: int, every: int, directory) -> None:
-    if every > 0 and directory is not None and step % every == 0:
-        save_checkpoint(model, os.path.join(directory, f"{label}_step{step:06d}.ckpt"))
-
-
-def _run_stage(model: Seq2SeqModel, plan: StagePlan, optcfg: OptimizerConfig,
-               noise_cfg: NoiseConfig, mono: Sequence[MonolingualCorpus],
-               parallel: ParallelCorpus | None, batch_size: int, seed: int,
-               stream: str, checkpoint_every: int = 0,
-               checkpoint_dir=None) -> list[TraceRow]:
-    rng = named_rng(seed, stream)
+def _train(model: Seq2SeqModel, plan: StagePlan, optcfg: OptimizerConfig,
+           objectives: dict, seed: int, checkpoint_every: int,
+           checkpoint_dir) -> list[TraceRow]:
+    """The one step loop. `objectives` maps each objective a run can train to a
+    function of the run's RNG that draws a batch and returns its loss."""
+    label = "_".join(plan.stream)
+    for name in plan.objectives:
+        if name not in objectives:
+            raise ValueError(f"{label} cannot train objective {name!r}")
+    rng = named_rng(seed, *plan.stream)
     opt = Adam(model.tensors(plan.trainable_groups), optcfg)
-    pool = _mono_pool(mono)
-    objectives = plan.objectives
-    vocab_size = model.config.vocab_size
     trace: list[TraceRow] = []
-
     for step in range(1, optcfg.total_steps + 1):
-        objective = objectives[(step - 1) % len(objectives)]
+        objective = plan.objectives[(step - 1) % len(plan.objectives)]
+        loss = objectives[objective](rng)
         weight = plan.objective_weights[objective]
-        if objective in ("mlm", "dae"):
-            idx = rng.integers(0, len(pool), size=batch_size)
-            batch = [pool[int(i)] for i in idx]
-            if objective == "mlm":
-                examples = [mask_mlm(s, lang, noise_cfg, rng, vocab_size)
-                            for s, lang in batch]
-                loss = loss_mlm(model, examples)
-            else:
-                examples = [noise_dae(s, lang, noise_cfg, rng) for s, lang in batch]
-                loss = loss_dae(model, examples)
-        elif objective == "xmlm":
-            idx = rng.integers(0, len(parallel.pairs), size=batch_size)
-            examples = [build_xmlm(*parallel.pairs[int(i)], parallel.src_lang,
-                                   parallel.tgt_lang, noise_cfg, rng, vocab_size)
-                        for i in idx]
-            loss = loss_xmlm(model, examples)
-        elif objective == "xae":
-            idx = rng.integers(0, len(parallel.pairs), size=batch_size)
-            pairs = [parallel.pairs[int(i)] for i in idx]
-            loss = loss_xae(model, pairs, parallel.src_lang, parallel.tgt_lang)
-        else:
-            raise ValueError(f"unknown objective {objective!r}")
-
         if weight != 1.0:
             loss = ad.mul(loss, weight)
+        value = loss.item()
+        if not np.isfinite(value):
+            raise FloatingPointError(f"{label}: non-finite loss {value} at step "
+                                     f"{step} (objective {objective})")
         ad.zero_grads(model.params.values())
         loss.backward()
         lr = opt.step()
-        trace.append(TraceRow(step, objective, loss.item(), lr))
-        _periodic_save(model, f"stage{plan.stage}", step, checkpoint_every,
-                       checkpoint_dir)
+        trace.append(TraceRow(step, objective, value, lr))
+        if checkpoint_every > 0 and checkpoint_dir is not None \
+                and step % checkpoint_every == 0:
+            bad = [n for n, p in opt.params.items() if not np.isfinite(p.data).all()]
+            if bad:
+                raise FloatingPointError(f"{label}: non-finite parameters {bad[0]!r} "
+                                         f"after step {step} (objective {objective})")
+            save_checkpoint(model, os.path.join(checkpoint_dir, f"{label}_step{step:06d}.ckpt"))
     return trace
+
+
+def _pretrain(model: Seq2SeqModel, plan: StagePlan, stage: int,
+              mono: Sequence[MonolingualCorpus], parallel: ParallelCorpus,
+              optcfg: OptimizerConfig, noise: NoiseConfig, batch_size: int,
+              seed: int, checkpoint_every: int, checkpoint_dir) -> list[TraceRow]:
+    if plan.stream != (f"stage{stage}",):
+        raise ValueError(f"pretrain_stage{stage} requires a stage-{stage} plan")
+    pool = [(s, c.lang) for c in mono for s in c.sentences]
+    pairs, la, lb = parallel.pairs, parallel.src_lang, parallel.tgt_lang
+    vocab = model.config.vocab_size
+    # batch indices are drawn first, then each example's noise in turn
+    objectives = {
+        "mlm": lambda rng: loss_mlm(model, [mask_mlm(s, lang, noise, rng, vocab)
+                                           for s, lang in _draw(pool, rng, batch_size)]),
+        "xmlm": lambda rng: loss_xmlm(model, [build_xmlm(x, y, la, lb, noise, rng, vocab)
+                                             for x, y in _draw(pairs, rng, batch_size)]),
+        "dae": lambda rng: loss_dae(model, [noise_dae(s, lang, noise, rng)
+                                           for s, lang in _draw(pool, rng, batch_size)]),
+        "xae": lambda rng: loss_xae(model, _draw(pairs, rng, batch_size), la, lb),
+    }
+    return _train(model, plan, optcfg, objectives, seed, checkpoint_every, checkpoint_dir)
 
 
 def pretrain_stage1(model: Seq2SeqModel, mono: Sequence[MonolingualCorpus],
@@ -314,11 +332,8 @@ def pretrain_stage1(model: Seq2SeqModel, mono: Sequence[MonolingualCorpus],
                     plan: StagePlan | None = None, checkpoint_every: int = 0,
                     checkpoint_dir=None) -> list[TraceRow]:
     """Stage one: train the encoding components with masked-token objectives."""
-    plan = plan or stage1_plan()
-    if plan.stage != 1:
-        raise ValueError("pretrain_stage1 requires a stage-1 plan")
-    return _run_stage(model, plan, optcfg, noise_cfg, mono, parallel,
-                      batch_size, seed, "stage1", checkpoint_every, checkpoint_dir)
+    return _pretrain(model, plan or stage1_plan(), 1, mono, parallel, optcfg, noise_cfg,
+                     batch_size, seed, checkpoint_every, checkpoint_dir)
 
 
 def pretrain_stage2(model: Seq2SeqModel, mono: Sequence[MonolingualCorpus],
@@ -327,33 +342,17 @@ def pretrain_stage2(model: Seq2SeqModel, mono: Sequence[MonolingualCorpus],
                     plan: StagePlan | None = None, checkpoint_every: int = 0,
                     checkpoint_dir=None) -> list[TraceRow]:
     """Stage two: train the decoder on denoising plus translation, encoder fixed."""
-    plan = plan or stage2_plan()
-    if plan.stage != 2:
-        raise ValueError("pretrain_stage2 requires a stage-2 plan")
-    return _run_stage(model, plan, optcfg, noise_cfg, mono, parallel,
-                      batch_size, seed, "stage2", checkpoint_every, checkpoint_dir)
+    return _pretrain(model, plan or stage2_plan(), 2, mono, parallel, optcfg, noise_cfg,
+                     batch_size, seed, checkpoint_every, checkpoint_dir)
 
 
 def finetune(model: Seq2SeqModel, dataset: Sequence[TaskExample], strategy: str,
              optcfg: OptimizerConfig, batch_size: int = 16, seed: int = 0,
              checkpoint_every: int = 0, checkpoint_dir=None) -> list[TraceRow]:
     """Supervised fine-tuning under one of the freeze strategies (all/enc/dec/et)."""
-    key = strategy.lower()
-    if key not in FINETUNE_STRATEGIES:
-        raise ValueError(f"unknown fine-tuning strategy {strategy!r}; "
-                         f"expected one of {sorted(FINETUNE_STRATEGIES)}")
+    plan = finetune_plan(strategy)
     if not dataset:
         raise ValueError("fine-tuning dataset is empty")
-    rng = named_rng(seed, "finetune", key)
-    opt = Adam(model.tensors(FINETUNE_STRATEGIES[key]), optcfg)
-    trace: list[TraceRow] = []
-    for step in range(1, optcfg.total_steps + 1):
-        idx = rng.integers(0, len(dataset), size=min(batch_size, len(dataset)))
-        batch = [dataset[int(i)] for i in idx]
-        loss = loss_task(model, batch)
-        ad.zero_grads(model.params.values())
-        loss.backward()
-        lr = opt.step()
-        trace.append(TraceRow(step, "task", loss.item(), lr))
-        _periodic_save(model, f"finetune_{key}", step, checkpoint_every, checkpoint_dir)
-    return trace
+    n = min(batch_size, len(dataset))
+    objectives = {"task": lambda rng: loss_task(model, _draw(dataset, rng, n))}
+    return _train(model, plan, optcfg, objectives, seed, checkpoint_every, checkpoint_dir)

@@ -1,9 +1,9 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately written from the definitions, separately from
-the package code paths it checks: brute-force pair counting, a re-derived
-twin-language translation, central finite differences, exhaustive decode
-enumeration, and direct-formula BLEU/ROUGE.
+the package code paths it checks: brute-force pair counting, the task rule, a
+re-derived twin-language translation, central finite differences, exhaustive
+decode enumeration, and direct-formula BLEU/ROUGE.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from collections import defaultdict
 import numpy as np
 
 from crossgen import autodiff as ad
-from crossgen.vocab import BOS_ID, EOS_ID
+from crossgen.vocab import BOS_ID, EOS_ID, SEP_ID
 
 
 def brute_force_pair_counts(streams):
@@ -24,6 +24,13 @@ def brute_force_pair_counts(streams):
         for i in range(len(stream) - 1):
             counts[(stream[i], stream[i + 1])] += 1
     return dict(counts)
+
+
+def recompute_task_target(input_ids, marker_id):
+    """The task rule from its definition: the span after [S], reversed, then
+    the language marker."""
+    sep = list(input_ids).index(SEP_ID)
+    return list(reversed(input_ids[sep + 1:])) + [marker_id]
 
 
 def ref_translate(ids, sigma, window):

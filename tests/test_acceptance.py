@@ -18,9 +18,9 @@ from oracles import (exhaustive_decode, finite_diff_max_rel_err, ref_bleu4,
 
 from crossgen.cli import main as cli_main
 from crossgen.corpus import MonolingualCorpus, SynthConfig
-from crossgen.evaluation import bleu4, lang_membership, rouge_l, rouge_n
-from crossgen.experiments import (build_experiment_data, clone_model, eval_task,
-                                  finetune_cloned)
+from crossgen.evaluation import bleu4, rouge_l, rouge_n
+from crossgen.experiments import (build_experiment_data, eval_task, finetune_cloned,
+                                  membership_cells, pretrain_variants)
 from crossgen.generation import DecodeConfig, beam_search, restrict_vocab
 from crossgen.model import (ModelConfig, ParamGroup, Seq2SeqModel, checkpoint_digest,
                             load_checkpoint, save_checkpoint)
@@ -28,8 +28,7 @@ from crossgen.noising import (MaskedExample, NoiseConfig, NoisedExample, build_x
                               mask_mlm, noise_dae)
 from crossgen.seeding import named_rng
 from crossgen.training import (OptimizerConfig, finetune, loss_dae, loss_mlm,
-                               loss_xae, loss_xmlm, pretrain_stage1,
-                               pretrain_stage2, stage2_plan)
+                               loss_xae, loss_xmlm, pretrain_stage1, pretrain_stage2)
 from crossgen.vocab import EOS_ID, MASK_ID, NUM_SPECIALS, PAD_ID, SEP_ID, LanguageTag
 
 SEEDS = (0, 1, 2)
@@ -257,19 +256,23 @@ def test_criterion_6_metric_oracles():
 # shared toy pipelines for criteria 7-9
 
 
-def _membership_cells(model, data):
-    la, lb = data.twin.lang_a, data.twin.lang_b
-    cells = {}
-    for src in (la, lb):
-        for tag in (la, lb):
-            lex = data.twin.lexicons[tag.name]
-            cfg = DecodeConfig(tgt_lang=tag, beam_size=3, max_len=16)
-            vals = [lang_membership(beam_search(model, s, src, cfg)[0], lex)
-                    for s in data.probe_sentences[src.name]]
-            cells[(src.name, tag.name)] = float(np.mean(vals))
-    same = (cells[("la", "la")] + cells[("lb", "lb")]) / 2
-    flipped = (cells[("la", "lb")] + cells[("lb", "la")]) / 2
-    return same, flipped
+def _ablation_seed(seed):
+    t0 = time.monotonic()
+    synth = SynthConfig(vocab_size_per_lang=50, sentence_len_range=(5, 12),
+                        n_mono=5000, n_parallel=1500, reorder_window=2,
+                        bigram_bias=0.5, seed=seed)
+    data = build_experiment_data(synth, n_task_train=8, n_task_eval=8, n_probe=25)
+    base = Seq2SeqModel.build(toy_model_config(len(data.twin.vocab)), seed=seed)
+    models = pretrain_variants(base, data, ("full", "no_xae", "no_dae"), opt(500),
+                               opt(500), NoiseConfig(), seed)
+    scores = {}
+    for name, model in models.items():
+        cells = {k: float(np.mean(v)) for k, v in membership_cells(model, data).items()}
+        same = (cells["la", "la"] + cells["lb", "lb"]) / 2
+        flipped = (cells["la", "lb"] + cells["lb", "la"]) / 2
+        scores[name] = {"same": same, "flipped": flipped,
+                        "overall": (same + flipped) / 2}
+    return scores, time.monotonic() - t0
 
 
 @pytest.fixture(scope="session")
@@ -278,29 +281,63 @@ def ablation_results():
     results = {}
     elapsed = 0.0
     for seed in SEEDS:
-        t0 = time.monotonic()
-        synth = SynthConfig(vocab_size_per_lang=50, sentence_len_range=(5, 12),
-                            n_mono=5000, n_parallel=1500, reorder_window=2,
-                            bigram_bias=0.5, seed=seed)
-        data = build_experiment_data(synth, n_task_train=8, n_task_eval=8, n_probe=25)
-        mono = [data.pretrain_mono["la"], data.pretrain_mono["lb"]]
-        base = Seq2SeqModel.build(toy_model_config(len(data.twin.vocab)), seed=seed)
-        pretrain_stage1(base, mono, data.twin.parallel, opt(500), NoiseConfig(),
-                        batch_size=16, seed=seed)
-        scores = {}
-        for name, use_dae, use_xae in (("full", True, True), ("no_xae", True, False),
-                                       ("no_dae", False, True)):
-            model = clone_model(base)
-            pretrain_stage2(model, mono, data.twin.parallel, opt(500), NoiseConfig(),
-                            batch_size=16, seed=seed,
-                            plan=stage2_plan(use_dae=use_dae, use_xae=use_xae))
-            same, flipped = _membership_cells(model, data)
-            scores[name] = {"same": same, "flipped": flipped,
-                            "overall": (same + flipped) / 2}
-        results[seed] = scores
-        elapsed += time.monotonic() - t0
+        results[seed], secs = _ablation_seed(seed)
+        elapsed += secs
     results["elapsed"] = elapsed
     return results
+
+
+def _transfer_seed(seed):
+    t0 = time.monotonic()
+    synth = SynthConfig(vocab_size_per_lang=50, sentence_len_range=(5, 12),
+                        n_mono=5000, n_parallel=1500, reorder_window=1,
+                        bigram_bias=0.7, seed=seed)
+    data = build_experiment_data(synth, n_task_train=1000, n_task_eval=100,
+                                 n_probe=25)
+    la, lb = data.twin.lang_a, data.twin.lang_b
+    stage1_only = Seq2SeqModel.build(toy_model_config(len(data.twin.vocab)), seed=seed)
+    pretrained = pretrain_variants(stage1_only, data, ("full",), opt(800), opt(500),
+                                   NoiseConfig(), seed)["full"]
+
+    train_a = data.task_train["la"][:600]
+    # decode-time vocabulary restriction from the zero-shot eval passages
+    restrict_b = restrict_vocab(MonolingualCorpus(lb, [
+        [t for t in ex.input if t != SEP_ID] for ex in data.task_eval["lb"]]))
+
+    ft_c8 = OptimizerConfig(base_lr=1.5e-3, warmup_steps=20, total_steps=200)
+    rows = {}
+    for name, start_model, strategy in (("et", pretrained, "et"),
+                                        ("all", pretrained, "all"),
+                                        ("base", stage1_only, "et")):
+        tuned = finetune_cloned(start_model, train_a, strategy, ft_c8,
+                                batch_size=16, seed=seed)
+        zs = eval_task(tuned, data.task_eval["lb"], lb, beam_size=3, max_len=8,
+                       allowed_vocab=restrict_b)
+        sup = eval_task(tuned, data.task_eval["la"], la, beam_size=3, max_len=8)
+        rows[name] = {"zsB": zs.bleu4, "supA": sup.bleu4}
+    c8_elapsed = time.monotonic() - t0
+
+    t1 = time.monotonic()
+    on_a = finetune_cloned(pretrained, train_a, "enc",
+                           OptimizerConfig(base_lr=1.5e-3, warmup_steps=40,
+                                           total_steps=400),
+                           batch_size=16, seed=seed)
+    gaps = {}
+    for size, steps in ((50, 300), (200, 300), (1000, 800)):
+        ft_b = OptimizerConfig(base_lr=7e-4, warmup_steps=steps // 10,
+                               total_steps=steps)
+        subset = data.task_train["lb"][:size]
+        transfer = finetune_cloned(on_a, subset, "all", ft_b, batch_size=16,
+                                   seed=seed)
+        b_only = finetune_cloned(pretrained, subset, "all", ft_b, batch_size=16,
+                                 seed=seed)
+        r_t = eval_task(transfer, data.task_eval["lb"], lb, beam_size=3,
+                        max_len=8).rouge2
+        r_b = eval_task(b_only, data.task_eval["lb"], lb, beam_size=3,
+                        max_len=8).rouge2
+        gaps[size] = r_t - r_b
+    return {"c8": rows, "c9_gaps": gaps, "c8_elapsed": c8_elapsed,
+            "c9_elapsed": time.monotonic() - t1}
 
 
 @pytest.fixture(scope="session")
@@ -309,61 +346,9 @@ def transfer_results():
     results = {}
     c8_elapsed = c9_elapsed = 0.0
     for seed in SEEDS:
-        t0 = time.monotonic()
-        synth = SynthConfig(vocab_size_per_lang=50, sentence_len_range=(5, 12),
-                            n_mono=5000, n_parallel=1500, reorder_window=1,
-                            bigram_bias=0.7, seed=seed)
-        data = build_experiment_data(synth, n_task_train=1000, n_task_eval=100,
-                                     n_probe=25)
-        mono = [data.pretrain_mono["la"], data.pretrain_mono["lb"]]
-        la, lb = data.twin.lang_a, data.twin.lang_b
-        stage1_only = Seq2SeqModel.build(toy_model_config(len(data.twin.vocab)),
-                                         seed=seed)
-        pretrain_stage1(stage1_only, mono, data.twin.parallel, opt(800), NoiseConfig(),
-                        batch_size=16, seed=seed)
-        pretrained = clone_model(stage1_only)
-        pretrain_stage2(pretrained, mono, data.twin.parallel, opt(500), NoiseConfig(),
-                        batch_size=16, seed=seed)
-
-        train_a = data.task_train["la"][:600]
-        # decode-time vocabulary restriction from the zero-shot eval passages
-        restrict_b = restrict_vocab(MonolingualCorpus(lb, [
-            [t for t in ex.input if t != SEP_ID] for ex in data.task_eval["lb"]]))
-
-        ft_c8 = OptimizerConfig(base_lr=1.5e-3, warmup_steps=20, total_steps=200)
-        rows = {}
-        for name, start_model, strategy in (("et", pretrained, "et"),
-                                            ("all", pretrained, "all"),
-                                            ("base", stage1_only, "et")):
-            tuned = finetune_cloned(start_model, train_a, strategy, ft_c8,
-                                    batch_size=16, seed=seed)
-            zs = eval_task(tuned, data.task_eval["lb"], lb, beam_size=3, max_len=8,
-                           allowed_vocab=restrict_b)
-            sup = eval_task(tuned, data.task_eval["la"], la, beam_size=3, max_len=8)
-            rows[name] = {"zsB": zs.bleu4, "supA": sup.bleu4}
-        c8_elapsed += time.monotonic() - t0
-
-        t1 = time.monotonic()
-        on_a = finetune_cloned(pretrained, train_a, "enc",
-                               OptimizerConfig(base_lr=1.5e-3, warmup_steps=40,
-                                               total_steps=400),
-                               batch_size=16, seed=seed)
-        gaps = {}
-        for size, steps in ((50, 300), (200, 300), (1000, 800)):
-            ft_b = OptimizerConfig(base_lr=7e-4, warmup_steps=steps // 10,
-                                   total_steps=steps)
-            subset = data.task_train["lb"][:size]
-            transfer = finetune_cloned(on_a, subset, "all", ft_b, batch_size=16,
-                                       seed=seed)
-            b_only = finetune_cloned(pretrained, subset, "all", ft_b, batch_size=16,
-                                     seed=seed)
-            r_t = eval_task(transfer, data.task_eval["lb"], lb, beam_size=3,
-                            max_len=8).rouge2
-            r_b = eval_task(b_only, data.task_eval["lb"], lb, beam_size=3,
-                            max_len=8).rouge2
-            gaps[size] = r_t - r_b
-        c9_elapsed += time.monotonic() - t1
-        results[seed] = {"c8": rows, "c9_gaps": gaps}
+        results[seed] = _transfer_seed(seed)
+        c8_elapsed += results[seed].pop("c8_elapsed")
+        c9_elapsed += results[seed].pop("c9_elapsed")
     results["c8_elapsed"] = c8_elapsed
     results["c9_elapsed"] = c9_elapsed
     return results

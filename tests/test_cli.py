@@ -122,6 +122,16 @@ def test_pretrain_save_every_writes_step_checkpoints(workspace, tmp_path):
     assert names == ["final.ckpt", "stage1_step000003.ckpt", "stage1_step000006.ckpt"]
 
 
+def test_pretrain_stops_on_non_finite_loss(workspace, tmp_path, capsys):
+    out = tmp_path / "s1.ckpt"
+    code = run(*FAST, "--set", "stage1.lr=1e30", "pretrain", "--stage", "1",
+               "--data", str(workspace["data"]), "--out", str(out))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "non-finite loss" in err and "stage1" in err
+    assert not out.exists()
+
+
 def test_stage2_requires_stage1_checkpoint(workspace, tmp_path, capsys):
     code = run(*FAST, "pretrain", "--stage", "2", "--data", str(workspace["data"]),
                "--out", str(tmp_path / "s2.ckpt"))
@@ -237,6 +247,37 @@ def test_ablate_objectives_report(tmp_path):
     assert variants == ["full", "no_xae", "no_dae"]
     for row in report["rows"]:
         assert "zero_shot_bleu4" in row and "flipped_membership" in row
+
+
+def test_ablate_trains_stage1_once(tmp_path, monkeypatch):
+    import crossgen.experiments as experiments
+
+    calls = []
+    for name in ("pretrain_stage1", "pretrain_stage2"):
+        def counted(*args, _name=name, _fn=getattr(experiments, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(experiments, name, counted)
+    assert run(*FAST, "ablate", "--which", "no_xae,no_dae,strategies", "--report",
+               str(tmp_path / "r.json")) == 0
+    assert calls.count("pretrain_stage1") == 1
+    assert calls.count("pretrain_stage2") == 3   # full, no_xae, no_dae
+
+
+@pytest.mark.parametrize("setting", ["stage2.batch_size=4", "stage2.dae_weight=1.0"])
+def test_ablate_honours_stage2_settings(workspace, tmp_path, setting):
+    """Pre-training inside `ablate` matches `pretrain --stage 2` under the same config."""
+    sets = [*FAST, "--set", setting]
+    ck2 = tmp_path / "stage2.ckpt"
+    assert run(*sets, "pretrain", "--stage", "2", "--data", str(workspace["data"]),
+               "--init", str(workspace["stage1"]), "--out", str(ck2)) == 0
+    reports = []
+    for init in (["--init", str(ck2)], []):
+        path = tmp_path / f"r{len(reports)}.json"
+        assert run(*sets, "ablate", "--which", "strategies", *init,
+                   "--report", str(path)) == 0
+        reports.append(json.loads(path.read_text())["rows"])
+    assert reports[0] == reports[1]
 
 
 def test_ablate_rejects_unknown_axis(tmp_path, capsys):

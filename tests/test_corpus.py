@@ -2,13 +2,12 @@ import json
 
 import pytest
 
-from oracles import ref_translate
+from oracles import recompute_task_target, ref_translate
 
 from crossgen.corpus import (MonolingualCorpus, SynthConfig, TaskExample,
                              generate_twin_languages, load_mono_jsonl,
                              load_parallel_jsonl, load_task_jsonl, make_task_dataset,
-                             recompute_task_target, save_mono_jsonl,
-                             save_parallel_jsonl, save_task_jsonl)
+                             save_mono_jsonl, save_parallel_jsonl, save_task_jsonl)
 from crossgen.vocab import SEP_ID, LanguageTag
 
 

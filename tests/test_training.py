@@ -236,7 +236,7 @@ def test_stage_plan_invariants():
     assert plan2.trainable_groups == frozenset({ParamGroup.DECODER_LAYERS})
     assert plan2.objective_weights["dae"] == 0.5
     with pytest.raises(ValueError, match="keep the encoder"):
-        StagePlan(2, frozenset({ParamGroup.ENCODER_LAYERS}), {"dae": 1.0})
+        StagePlan(("stage2",), frozenset({ParamGroup.ENCODER_LAYERS}), {"dae": 1.0})
     with pytest.raises(ValueError, match="at least one"):
         stage2_plan(use_dae=False, use_xae=False)
 
@@ -291,12 +291,12 @@ def test_dae_weight_scales_logged_loss():
     m1 = tiny_model(len(data.vocab))
     t1 = pretrain_stage2(m1, [data.mono_a, data.mono_b], data.parallel, opt,
                          NoiseConfig(), batch_size=4, seed=2,
-                         plan=StagePlan(2, frozenset({ParamGroup.DECODER_LAYERS}),
+                         plan=StagePlan(("stage2",), frozenset({ParamGroup.DECODER_LAYERS}),
                                         {"dae": 1.0, "xae": 1.0}))
     m2 = tiny_model(len(data.vocab))
     t2 = pretrain_stage2(m2, [data.mono_a, data.mono_b], data.parallel, opt,
                          NoiseConfig(), batch_size=4, seed=2,
-                         plan=StagePlan(2, frozenset({ParamGroup.DECODER_LAYERS}),
+                         plan=StagePlan(("stage2",), frozenset({ParamGroup.DECODER_LAYERS}),
                                         {"dae": 0.5, "xae": 1.0}))
     dae1 = next(r.loss for r in t1 if r.objective == "dae")
     dae2 = next(r.loss for r in t2 if r.objective == "dae")
@@ -381,3 +381,34 @@ def test_finetune_strategy_table():
         ParamGroup.TAG_AND_POSITION_EMBEDDINGS})
     assert FINETUNE_STRATEGIES["dec"] == frozenset({
         ParamGroup.DECODER_LAYERS, ParamGroup.OUTPUT_HEAD})
+
+
+def test_non_finite_loss_stops_the_stage():
+    data = tiny_data()
+    model = tiny_model(len(data.vocab))
+    opt = OptimizerConfig(base_lr=1e30, warmup_steps=1, total_steps=6)
+    with pytest.raises(FloatingPointError, match=r"stage1: non-finite loss .* at step "
+                                                 r"\d+ \(objective (mlm|xmlm)\)"):
+        pretrain_stage1(model, [data.mono_a, data.mono_b], data.parallel, opt,
+                        NoiseConfig(), batch_size=4, seed=3)
+
+
+def test_non_finite_parameters_are_not_checkpointed(tmp_path):
+    """An update that makes the parameters non-finite stops the run before
+    the step checkpoint due after it is written; earlier ones stay finite."""
+    from crossgen.model import load_checkpoint
+
+    data = tiny_data()
+    model = tiny_model(len(data.vocab))
+    opt = OptimizerConfig(base_lr=1e30, warmup_steps=1, total_steps=6)
+    with pytest.raises(FloatingPointError,
+                       match=r"stage1: non-finite parameters .* after step (\d+)") as err:
+        pretrain_stage1(model, [data.mono_a, data.mono_b], data.parallel, opt,
+                        NoiseConfig(), batch_size=4, seed=3, checkpoint_every=1,
+                        checkpoint_dir=str(tmp_path))
+    last = int(err.value.args[0].split("after step ")[1].split()[0])
+    saved = sorted(p.name for p in tmp_path.iterdir())
+    assert saved == [f"stage1_step{s:06d}.ckpt" for s in range(1, last)]
+    for name in saved:
+        params = load_checkpoint(str(tmp_path / name)).params.values()
+        assert all(np.isfinite(t.data).all() for t in params), name
