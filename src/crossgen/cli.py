@@ -19,11 +19,12 @@ from .corpus import (MonolingualCorpus, SynthConfig, load_mono_jsonl,
 from .evaluation import evaluate_corpus, save_report
 from .experiments import (build_experiment_data, eval_task, finetune_cloned,
                           membership_cells, pretrain_variants)
+from .fileio import atomic_write
 from .generation import DecodeConfig, beam_search_many, restrict_vocab
 from .model import (ModelConfig, Seq2SeqModel, checkpoint_digest,
                     load_checkpoint, save_checkpoint)
 from .noising import NoiseConfig
-from .training import (FINETUNE_STRATEGIES, OptimizerConfig, finetune, pretrain_stage1,
+from .training import (OptimizerConfig, finetune, finetune_plan, pretrain_stage1,
                        pretrain_stage2, save_trace_csv, stage1_plan, stage2_plan)
 from .vocab import NUM_SPECIALS, LanguageTag, Vocab, learn_vocab
 
@@ -168,19 +169,19 @@ def cmd_pretrain(cfg, args) -> int:
 
 
 def cmd_finetune(cfg, args) -> int:
-    strategy = args.strategy.lower()
-    if strategy not in FINETUNE_STRATEGIES:
-        raise UsageError(f"unknown strategy {args.strategy!r}; "
-                         f"choose from {sorted(FINETUNE_STRATEGIES)}")
+    try:
+        plan = finetune_plan(args.strategy)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     _guard_output(args.out, args.force)
     if args.trace:
         _guard_output(args.trace, args.force)
     model = load_checkpoint(args.ckpt)
     langs = _languages(cfg)
     dataset = load_task_jsonl(args.task, langs)
-    frozen = [g for g in model.partition_params() if g not in FINETUNE_STRATEGIES[strategy]]
+    frozen = [g for g in model.partition_params() if g not in plan.trainable_groups]
     before = {g: model.group_digest(g) for g in frozen}
-    trace = finetune(model, dataset, strategy, _opt_config(cfg["finetune"]),
+    trace = finetune(model, dataset, args.strategy, _opt_config(cfg["finetune"]),
                      batch_size=cfg["finetune"]["batch_size"], seed=cfg["seed"],
                      checkpoint_every=args.save_every,
                      checkpoint_dir=os.path.dirname(os.path.abspath(args.out)))
@@ -192,7 +193,7 @@ def cmd_finetune(cfg, args) -> int:
     save_checkpoint(model, args.out)
     if args.trace:
         save_trace_csv(trace, args.trace)
-    print(f"fine-tuned ({strategy}): final loss {trace[-1].loss:.4f}")
+    print(f"fine-tuned ({args.strategy.lower()}): final loss {trace[-1].loss:.4f}")
     return 0
 
 
@@ -214,7 +215,7 @@ def cmd_generate(cfg, args) -> int:
     except ValueError as exc:
         raise UsageError(f"{args.manifest}: {exc}") from None
     outputs = [{"output": ids, "score": score} for ids, score in decoded]
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with atomic_write(args.out, "w", encoding="utf-8") as fh:
         for rec in outputs:
             fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
     print(f"decoded {len(outputs)} inputs -> {args.out}")
@@ -307,7 +308,7 @@ def cmd_ablate(cfg, args) -> int:
             })
 
     report["config_echo"] = cfg
-    with open(args.report, "w", encoding="utf-8") as fh:
+    with atomic_write(args.report, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"ablation report ({', '.join(which)}) -> {args.report}")

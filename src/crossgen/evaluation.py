@@ -13,6 +13,8 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
+from .fileio import atomic_write
+
 
 @dataclass
 class MetricReport:
@@ -142,6 +144,6 @@ def save_report(report: MetricReport, path, config_echo: dict | None = None) -> 
     echo = dict(config_echo or {})
     echo.setdefault("bleu_smoothing", "add-one for n>1")
     payload["config"] = echo
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

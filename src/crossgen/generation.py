@@ -16,8 +16,8 @@ import numpy as np
 
 from .autodiff import no_grad
 from .corpus import MonolingualCorpus
-from .model import Seq2SeqModel
-from .vocab import BOS_ID, EOS_ID, NUM_SPECIALS, PAD_ID, LanguageTag
+from .model import Seq2SeqModel, pad_batch
+from .vocab import BOS_ID, EOS_ID, NUM_SPECIALS, LanguageTag
 
 
 @dataclass
@@ -99,10 +99,15 @@ def beam_search_many(model: Seq2SeqModel, inputs: Sequence[Sequence[int]],
     if cfg.max_len + 1 > limit:
         raise ValueError("max_len + BOS exceeds the model's max_positions")
 
+    vocab = model.config.vocab_size
     if cfg.allowed_vocab is not None:
         allowed = np.array(sorted(cfg.allowed_vocab), dtype=np.int64)
+        if allowed[0] < 0 or allowed[-1] >= vocab:
+            bad = allowed[0] if allowed[0] < 0 else allowed[-1]
+            raise ValueError(f"allowed_vocab holds token id {bad}, outside the "
+                             f"vocabulary [0, {vocab})")
     else:
-        allowed = np.arange(model.config.vocab_size, dtype=np.int64)
+        allowed = np.arange(vocab, dtype=np.int64)
 
     out = []
     with no_grad():
@@ -125,15 +130,10 @@ def _per_input(tags, n: int, what: str) -> list[LanguageTag]:
 def _decode_chunk(model: Seq2SeqModel, inputs: list[list[int]], src_tags, tgt_tags,
                   allowed: np.ndarray, cfg: DecodeConfig) -> list[tuple[list[int], float]]:
     n_src = len(inputs)
-    width = max(len(ids) for ids in inputs)
-    src = np.full((n_src, width), PAD_ID, dtype=np.int64)
-    pad = np.ones((n_src, width), dtype=bool)
-    for s, ids in enumerate(inputs):
-        src[s, :len(ids)] = ids
-        pad[s, :len(ids)] = False
+    src, pad = pad_batch(inputs)
     pad = pad if pad.any() else None
     src_ids = np.array([t.id for t in src_tags], dtype=np.int64)
-    enc = model.encode(src, np.repeat(src_ids[:, None], width, axis=1), pad)
+    enc = model.encode(src, np.broadcast_to(src_ids[:, None], src.shape), pad)
     cache = model.start_decoding(enc, pad)
     tgt_ids = np.array([t.id for t in tgt_tags], dtype=np.int64)
 

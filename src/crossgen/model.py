@@ -11,14 +11,15 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .fileio import atomic_write
 from .seeding import named_rng
-from .vocab import LanguageTag
+from .vocab import PAD_ID
 
 NEG_INF = -1e9
 
@@ -111,20 +112,30 @@ def param_specs(config: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
     return specs
 
 
-def _as_batch(ids) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(ids, dtype=np.int64)
-    if arr.ndim == 1:
-        return arr[None, :], True
-    if arr.ndim == 2:
-        return arr, False
-    raise ValueError("expected a sequence or a batch of sequences")
+def _as_batch(arr, what: str) -> np.ndarray:
+    arr = np.asarray(arr, dtype=np.int64)
+    if arr.ndim != 2:
+        raise ValueError(f"{what} must be a batch of sequences (2-D), not {arr.ndim}-D")
+    return arr
+
+
+def pad_batch(seqs: Sequence[Sequence[int]],
+              pad_value: int = PAD_ID) -> tuple[np.ndarray, np.ndarray]:
+    """Right-pad to a rectangle; returns (ids, pad_mask) with True at pads."""
+    width = max(len(s) for s in seqs)
+    ids = np.full((len(seqs), width), pad_value, dtype=np.int64)
+    pad = np.ones((len(seqs), width), dtype=bool)
+    for b, s in enumerate(seqs):
+        ids[b, :len(s)] = s
+        pad[b, :len(s)] = False
+    return ids, pad
 
 
 class Seq2SeqModel:
     """Encoder-decoder over a shared subword vocabulary.
 
-    All forward methods accept a single sequence (1D) or a batch (2D); a 1D
-    input yields an output without the batch axis. `pad_mask` marks padded
+    Forward methods take a padded batch: (B, T) token ids, language tags and
+    pad masks, and (B, Ts, d) encoder states. `pad_mask` marks padded
     positions with True.
     """
 
@@ -164,9 +175,6 @@ class Seq2SeqModel:
         wanted = set(groups)
         return {n: t for n, t in self.params.items() if group_of(n) in wanted}
 
-    def num_params(self) -> int:
-        return sum(t.data.size for t in self.params.values())
-
     def group_digest(self, group: ParamGroup) -> str:
         """Content hash of one freeze group (bit-identity checks)."""
         h = hashlib.sha256()
@@ -186,18 +194,20 @@ class Seq2SeqModel:
     def embed(self, ids, lang_tags, start: int = 0) -> Tensor:
         """token + position + language-tag embeddings, summed per position;
         positions count from `start`."""
-        ids, squeeze = _as_batch(ids)
-        tags, _ = _as_batch(lang_tags)
+        ids, tags = _as_batch(ids, "ids"), _as_batch(lang_tags, "lang_tags")
         if ids.shape != tags.shape:
             raise ValueError("ids and lang_tags must have identical shape")
         self._check_positions(start + ids.shape[1])
+        vocab = self.config.vocab_size
+        bad = ids[(ids < 0) | (ids >= vocab)]
+        if bad.size:
+            raise ValueError(f"token id {bad[0]} outside the vocabulary [0, {vocab})")
         if tags.size and (tags.min() < 0 or tags.max() >= self.config.num_languages):
             raise ValueError("language tag id out of range")
         P = self.params
         x = ad.gather_rows(P["tok_emb"], ids)
         x = ad.add(x, ad.take_rows(P["pos_emb"], np.arange(start, start + ids.shape[1])))
-        x = ad.add(x, ad.gather_rows(P["lang_emb"], tags))
-        return _squeeze0(x) if squeeze else x
+        return ad.add(x, ad.gather_rows(P["lang_emb"], tags))
 
     def _heads(self, prefix: str, x: Tensor, which: str) -> Tensor:
         """Project (B, T, d) states with `{prefix}.w{which}` and split the
@@ -238,18 +248,15 @@ class Seq2SeqModel:
 
     def encode(self, ids, lang_tags, pad_mask=None) -> Tensor:
         """Bidirectional encoding; padded positions are never attended to."""
-        ids2, squeeze = _as_batch(ids)
-        tags2, _ = _as_batch(lang_tags)
-        x = self.embed(ids2, tags2)
+        x = self.embed(ids, lang_tags)
         bias = _pad_bias(pad_mask)
-        if bias is not None and (bias.shape[0], bias.shape[-1]) != ids2.shape:
+        if bias is not None and (bias.shape[0], bias.shape[-1]) != x.shape[:2]:
             raise ValueError("pad_mask shape mismatch")
         for i in range(self.config.enc_layers):
             normed = self._ln(f"enc.{i}.ln1", x)
             x = ad.add(x, self._attention(f"enc.{i}.attn", normed, normed, bias))
             x = ad.add(x, self._ffn(f"enc.{i}.ffn", self._ln(f"enc.{i}.ln2", x)))
-        x = self._ln("enc.final_ln", x)
-        return _squeeze0(x) if squeeze else x
+        return self._ln("enc.final_ln", x)
 
     def start_decoding(self, encoder_states: Tensor, src_pad_mask=None) -> DecoderCache:
         """An empty cache for incremental decoding of a batch of encoded
@@ -264,7 +271,9 @@ class Seq2SeqModel:
 
     def decode_forward(self, encoder_states: Tensor | None, src_pad_mask, target_ids,
                        tgt_lang, cache: DecoderCache | None = None) -> Tensor:
-        """Causal decoding over BOS-prefixed targets; logits[t] sees targets[0..t].
+        """Causal decoding over BOS-prefixed targets; logits[:, t] sees
+        targets[:, 0..t]. `tgt_lang` is one language id for every row or one
+        per row.
 
         Incremental mode (no-grad decoding only): with a `cache` from
         `start_decoding`, `encoder_states` and `src_pad_mask` are None and
@@ -272,31 +281,21 @@ class Seq2SeqModel:
         take the positions after the cached ones and attend to those too; the
         cache then holds them as well.
         """
-        tgt, squeeze = _as_batch(target_ids)
+        tgt = _as_batch(target_ids, "target_ids")
         B, T = tgt.shape
-        enc = encoder_states
         if cache is not None:
             if encoder_states is not None or src_pad_mask is not None:
                 raise ValueError("a cached decoder takes its sources from the cache")
             start, cross_bias = cache.length, cache.cross_bias
         else:
-            if len(enc.shape) == 2:
-                enc = _unsqueeze0(enc)
-            if enc.shape[0] != B:
-                raise ValueError("batch mismatch between targets and encoder states")
+            if len(encoder_states.shape) != 3 or encoder_states.shape[0] != B:
+                raise ValueError("encoder_states must be (B, Ts, d), one row per target row")
             start, cross_bias = 0, _pad_bias(src_pad_mask)
         self._check_positions(start + T)
-        if isinstance(tgt_lang, LanguageTag):
-            tags = np.full((B, T), tgt_lang.id, dtype=np.int64)
-        else:
-            arr = np.asarray(tgt_lang, dtype=np.int64)
-            if arr.ndim == 0:
-                tags = np.full((B, T), int(arr), dtype=np.int64)
-            elif arr.shape == (B,):
-                tags = np.repeat(arr[:, None], T, axis=1)
-            else:
-                raise ValueError("tgt_lang must be a tag, a scalar, or one id per example")
-        y = self.embed(tgt, tags, start)
+        lang = np.asarray(tgt_lang, dtype=np.int64)
+        if lang.shape not in ((), (B,)):
+            raise ValueError("tgt_lang must be one language id or one per example")
+        y = self.embed(tgt, np.broadcast_to(lang[..., None], (B, T)), start)
 
         # position start + t sees positions 0..start + t
         causal = np.where(np.triu(np.ones((T, start + T), dtype=bool), k=start + 1),
@@ -307,28 +306,17 @@ class Seq2SeqModel:
             normed = self._ln(f"dec.{i}.ln1", y)
             y = ad.add(y, self._attention(f"dec.{i}.self_attn", normed, normed, causal, cache))
             y = ad.add(y, self._attention(f"dec.{i}.cross_attn", self._ln(f"dec.{i}.ln2", y),
-                                          enc, cross_bias, cache))
+                                          encoder_states, cross_bias, cache))
             y = ad.add(y, self._ffn(f"dec.{i}.ffn", self._ln(f"dec.{i}.ln3", y)))
         y = self._ln("dec.final_ln", y)
         if cache is not None:
             cache.length += T
-        logits = self.output_logits(y)
-        return _squeeze0(logits) if squeeze else logits
+        return self.output_logits(y)
 
     def output_logits(self, states: Tensor) -> Tensor:
         """Project hidden states through the tied token embedding table."""
         w = ad.swapaxes(self.params["tok_emb"], 0, 1)
         return ad.add(ad.matmul(states, w), self.params["out_bias"])
-
-    def mlm_head(self, encoder_states: Tensor, positions) -> Tensor:
-        """Logits at selected positions of a single encoded sequence."""
-        if len(encoder_states.shape) != 2:
-            raise ValueError("mlm_head expects states for a single sequence (T, d)")
-        positions = np.asarray(positions, dtype=np.intp)
-        if positions.size and (positions.min() < 0
-                               or positions.max() >= encoder_states.shape[0]):
-            raise ValueError("mlm position out of range")
-        return self.output_logits(ad.take_rows(encoder_states, positions))
 
 
 class DecoderCache:
@@ -363,21 +351,14 @@ def _pad_bias(pad_mask) -> np.ndarray | None:
     """Additive attention bias (B, 1, 1, T) that hides padded key positions."""
     if pad_mask is None:
         return None
-    pm, _ = _as_batch(pad_mask)
+    pm = _as_batch(pad_mask, "pad_mask")
     return np.where(pm.astype(bool), NEG_INF, 0.0)[:, None, None, :]
 
 
-def _squeeze0(t: Tensor) -> Tensor:
-    return ad.reshape(t, t.shape[1:])
-
-
-def _unsqueeze0(t: Tensor) -> Tensor:
-    return ad.reshape(t, (1, *t.shape))
-
-
 # ---------------------------------------------------------------------------
-# Checkpoint container: one JSON header line, then raw little-endian arrays.
-# Deterministic byte-for-byte so rerun checkpoints hash identically.
+# Checkpoint container: one JSON header line (format, config, parameter
+# manifest, payload sha256), then raw little-endian arrays. Deterministic
+# byte-for-byte so rerun checkpoints hash identically.
 
 CKPT_FORMAT = "crossgen-ckpt-v1"
 
@@ -387,6 +368,7 @@ def save_checkpoint(model: Seq2SeqModel, path) -> None:
     manifest = []
     offset = 0
     blobs = []
+    digest = hashlib.sha256()
     for name in names:
         arr = model.params[name].data
         le_dtype = np.dtype(arr.dtype).newbyteorder("<")
@@ -400,19 +382,22 @@ def save_checkpoint(model: Seq2SeqModel, path) -> None:
             "nbytes": len(raw),
         })
         blobs.append(raw)
+        digest.update(raw)
         offset += len(raw)
     header = json.dumps(
-        {"format": CKPT_FORMAT, "config": asdict(model.config), "params": manifest},
+        {"format": CKPT_FORMAT, "config": asdict(model.config), "params": manifest,
+         "sha256": digest.hexdigest()},
         sort_keys=True, separators=(",", ":"),
     )
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(header.encode("utf-8") + b"\n")
         for raw in blobs:
             fh.write(raw)
 
 
 def load_checkpoint(path) -> Seq2SeqModel:
-    """Load and verify a checkpoint; any shape/config mismatch fails loudly."""
+    """Load and verify a checkpoint; any shape, dtype or config mismatch and
+    any payload byte that differs from the one saved fails loudly."""
     with open(path, "rb") as fh:
         header_line = fh.readline()
         payload = fh.read()
@@ -428,6 +413,8 @@ def load_checkpoint(path) -> Seq2SeqModel:
     if len(payload) != listed:
         raise ValueError(f"{path}: payload holds {len(payload)} bytes but the header "
                          f"lists {listed}")
+    if header.get("sha256") != hashlib.sha256(payload).hexdigest():
+        raise ValueError(f"{path}: payload does not match the header's sha256")
     params: dict[str, Tensor] = {}
     for entry in header["params"]:
         name = entry["name"]
@@ -439,6 +426,8 @@ def load_checkpoint(path) -> Seq2SeqModel:
                              f"{entry['shape']} vs expected {list(expected)}")
         if entry["group"] != group_of(name).value:
             raise ValueError(f"{path}: group mismatch for {name}")
+        if entry["dtype"] not in ("<f4", "<f8"):
+            raise ValueError(f"{path}: unsupported dtype {entry['dtype']!r} for {name}")
         raw = payload[entry["offset"]:entry["offset"] + entry["nbytes"]]
         if len(raw) != entry["nbytes"]:
             raise ValueError(f"{path}: truncated payload for {name}")

@@ -21,10 +21,11 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import MonolingualCorpus, ParallelCorpus, TaskExample
-from .model import ParamGroup, Seq2SeqModel, save_checkpoint
+from .fileio import atomic_write
+from .model import ParamGroup, Seq2SeqModel, pad_batch, save_checkpoint
 from .noising import MaskedExample, NoiseConfig, NoisedExample, build_xmlm, mask_mlm, noise_dae
 from .seeding import named_rng
-from .vocab import BOS_ID, EOS_ID, PAD_ID, LanguageTag
+from .vocab import BOS_ID, EOS_ID, LanguageTag
 
 
 @dataclass
@@ -83,17 +84,6 @@ class Adam:
 # ---------------------------------------------------------------------------
 # loss functions
 
-def _pad_batch(seqs: Sequence[Sequence[int]], pad_value: int) -> tuple[np.ndarray, np.ndarray]:
-    """Right-pad to a rectangle; returns (ids, pad_mask) with True at pads."""
-    width = max(len(s) for s in seqs)
-    ids = np.full((len(seqs), width), pad_value, dtype=np.int64)
-    pad = np.ones((len(seqs), width), dtype=bool)
-    for b, s in enumerate(seqs):
-        ids[b, :len(s)] = s
-        pad[b, :len(s)] = False
-    return ids, pad
-
-
 def _mean_scored_nll(logits: Tensor, targets: np.ndarray, weights: np.ndarray) -> Tensor:
     """Mean over batch of per-example sums of -log p(target) at weighted positions."""
     logp = ad.log_softmax(logits)
@@ -107,8 +97,8 @@ def loss_mlm(model: Seq2SeqModel, examples: Sequence[MaskedExample]) -> Tensor:
     for ex in examples:
         if not ex.mask_positions:
             raise ValueError("masked example has an empty mask set")
-    ids, pad = _pad_batch([ex.corrupted for ex in examples], PAD_ID)
-    tags, _ = _pad_batch([ex.lang_tags for ex in examples], 0)
+    ids, pad = pad_batch([ex.corrupted for ex in examples])
+    tags, _ = pad_batch([ex.lang_tags for ex in examples], 0)
     targets = np.zeros_like(ids)
     weights = np.zeros(ids.shape, dtype=np.float64)
     for b, ex in enumerate(examples):
@@ -132,18 +122,18 @@ def loss_xmlm(model: Seq2SeqModel, examples: Sequence[MaskedExample]) -> Tensor:
 
 
 def _teacher_forced_nll(model: Seq2SeqModel, sources: Sequence[Sequence[int]],
-                        src_tag_rows: Sequence[Sequence[int]],
-                        targets: Sequence[Sequence[int]],
+                        src_lang_ids: Sequence[int], targets: Sequence[Sequence[int]],
                         tgt_lang_ids: Sequence[int]) -> Tensor:
-    """Autoregressive NLL of targets (plus EOS) given encoded sources."""
-    src_ids, src_pad = _pad_batch(sources, PAD_ID)
-    src_tags, _ = _pad_batch(src_tag_rows, 0)
+    """Autoregressive NLL of targets (plus EOS) given encoded sources; one
+    source and one target language id per example."""
+    src_ids, src_pad = pad_batch(sources)
+    src_tags = np.broadcast_to(np.asarray(src_lang_ids, dtype=np.int64)[:, None], src_ids.shape)
     enc = model.encode(src_ids, src_tags, pad_mask=src_pad)
 
     dec_inputs = [[BOS_ID] + list(t) for t in targets]
     scored = [list(t) + [EOS_ID] for t in targets]
-    dec_ids, _ = _pad_batch(dec_inputs, PAD_ID)
-    tgt_arr, tgt_pad = _pad_batch(scored, 0)
+    dec_ids, _ = pad_batch(dec_inputs)
+    tgt_arr, tgt_pad = pad_batch(scored, 0)
     weights = (~tgt_pad).astype(np.float64)
     logits = model.decode_forward(enc, src_pad, dec_ids, np.asarray(tgt_lang_ids))
     return _mean_scored_nll(logits, tgt_arr, weights)
@@ -154,7 +144,7 @@ def loss_dae(model: Seq2SeqModel, examples: Sequence[NoisedExample]) -> Tensor:
     return _teacher_forced_nll(
         model,
         sources=[ex.source for ex in examples],
-        src_tag_rows=[[ex.src_lang.id] * len(ex.source) for ex in examples],
+        src_lang_ids=[ex.src_lang.id for ex in examples],
         targets=[ex.target for ex in examples],
         tgt_lang_ids=[ex.tgt_lang.id for ex in examples],
     )
@@ -165,10 +155,9 @@ def loss_xae(model: Seq2SeqModel, pairs: Sequence[tuple[Sequence[int], Sequence[
     """Both translation directions of each pair, with the matching language tags."""
     xs = [list(x) for x, _ in pairs]
     ys = [list(y) for _, y in pairs]
-    fwd = _teacher_forced_nll(model, xs, [[src_lang.id] * len(x) for x in xs],
-                              ys, [tgt_lang.id] * len(pairs))
-    bwd = _teacher_forced_nll(model, ys, [[tgt_lang.id] * len(y) for y in ys],
-                              xs, [src_lang.id] * len(pairs))
+    n = len(pairs)
+    fwd = _teacher_forced_nll(model, xs, [src_lang.id] * n, ys, [tgt_lang.id] * n)
+    bwd = _teacher_forced_nll(model, ys, [tgt_lang.id] * n, xs, [src_lang.id] * n)
     return ad.add(fwd, bwd)
 
 
@@ -177,7 +166,7 @@ def loss_task(model: Seq2SeqModel, examples: Sequence[TaskExample]) -> Tensor:
     return _teacher_forced_nll(
         model,
         sources=[ex.input for ex in examples],
-        src_tag_rows=[[ex.lang.id] * len(ex.input) for ex in examples],
+        src_lang_ids=[ex.lang.id for ex in examples],
         targets=[ex.target for ex in examples],
         tgt_lang_ids=[ex.lang.id for ex in examples],
     )
@@ -199,8 +188,6 @@ FINETUNE_STRATEGIES: dict[str, frozenset[ParamGroup]] = {
     "et": frozenset({ParamGroup.ENCODER_LAYERS}),
     "dec": frozenset({ParamGroup.DECODER_LAYERS, ParamGroup.OUTPUT_HEAD}),
 }
-
-FINETUNE_DEFAULT_LR = 5e-6
 
 
 @dataclass
@@ -257,7 +244,7 @@ class TraceRow:
 
 
 def save_trace_csv(trace: Sequence[TraceRow], path) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "objective", "loss", "lr"])
         for row in trace:

@@ -69,13 +69,6 @@ class Vocab:
     def __len__(self) -> int:
         return len(self.id_to_token)
 
-    @property
-    def size(self) -> int:
-        return len(self.id_to_token)
-
-    def is_special(self, token_id: int) -> bool:
-        return 0 <= token_id < NUM_SPECIALS
-
     def merge_output(self, pair: tuple[str, str]) -> str:
         return pair[0] + self._joiner + pair[1]
 

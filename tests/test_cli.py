@@ -218,6 +218,20 @@ def test_generate_rejects_over_long_input(workspace, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bad", [-1, 999])
+def test_generate_rejects_out_of_range_token_id(workspace, tmp_path, capsys, bad):
+    manifest = tmp_path / "bad_id.jsonl"
+    manifest.write_text(json.dumps({"input": [6, bad, 7], "src_lang": "la",
+                                    "tgt_lang": "lb"}) + "\n")
+    out = tmp_path / "o.jsonl"
+    code = run(*FAST, "generate", "--ckpt", str(workspace["stage2"]),
+               "--manifest", str(manifest), "--out", str(out))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(manifest) in err and f"token id {bad} outside" in err
+    assert not out.exists()
+
+
 def test_malformed_manifest_reports_line(workspace, tmp_path, capsys):
     manifest = tmp_path / "bad.jsonl"
     manifest.write_text('{"input": [6], "src_lang": "la", "tgt_lang": "lb"}\n{oops\n')

@@ -118,3 +118,13 @@ def test_save_report_includes_provenance(tmp_path):
     assert payload["bleu4"] == pytest.approx(1.0)
     assert payload["config"]["beam_size"] == 3
     assert "bleu_smoothing" in payload["config"]
+
+
+def test_save_report_failure_keeps_previous_report(tmp_path):
+    path = tmp_path / "report.json"
+    save_report(evaluate_corpus([[5, 6]], [[5, 6]]), path, config_echo={"seed": 1})
+    before = path.read_text()
+    with pytest.raises(TypeError):
+        save_report(evaluate_corpus([[5]], [[6]]), path, config_echo={"seed": object()})
+    assert path.read_text() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]

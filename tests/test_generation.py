@@ -57,6 +57,17 @@ def test_empty_input_rejected():
         beam_search(model, [], LA, DecodeConfig(tgt_lang=LB, max_len=3))
 
 
+@pytest.mark.parametrize("bad", [-1, 10, 99])
+def test_out_of_range_token_ids_are_rejected(bad):
+    model = tiny_model(0)   # vocabulary of 10 ids
+    cfg = DecodeConfig(tgt_lang=LB, max_len=3)
+    with pytest.raises(ValueError, match=f"token id {bad} outside"):
+        beam_search_many(model, [[7, 8], [7, bad, 9]], LA, cfg)
+    cfg = DecodeConfig(tgt_lang=LB, max_len=3, allowed_vocab={EOS_ID, bad, 7})
+    with pytest.raises(ValueError, match=f"allowed_vocab holds token id {bad}"):
+        beam_search(model, [7, 8], LA, cfg)
+
+
 def test_allowed_vocab_only_eos_gives_empty_output():
     model = tiny_model(1)
     out, score = beam_search(model, [7, 8], LA,

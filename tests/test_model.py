@@ -12,7 +12,12 @@ V = 23
 
 
 def seq(rng, n):
-    return rng.integers(NUM_SPECIALS, V, size=n)
+    """A batch of one random sequence of n regular tokens: (1, n)."""
+    return rng.integers(NUM_SPECIALS, V, size=(1, n))
+
+
+def zeros(n):
+    return np.zeros((1, n), dtype=int)
 
 
 def test_config_validation():
@@ -25,23 +30,23 @@ def test_config_validation():
 def test_embed_zeroed_tables_give_zero_vectors(verify_model, rng):
     for name in ("tok_emb", "pos_emb", "lang_emb"):
         verify_model.params[name].data[:] = 0.0
-    out = verify_model.embed(seq(rng, 5), np.zeros(5, dtype=int))
-    np.testing.assert_array_equal(out.data, np.zeros((5, 16)))
+    out = verify_model.embed(seq(rng, 5), zeros(5))
+    np.testing.assert_array_equal(out.data, np.zeros((1, 5, 16)))
 
 
 def test_embed_lang_tag_changes_output_by_embedding_delta(verify_model, rng):
     ids = seq(rng, 6)
-    out0 = verify_model.embed(ids, np.zeros(6, dtype=int)).data
-    out1 = verify_model.embed(ids, np.ones(6, dtype=int)).data
+    out0 = verify_model.embed(ids, zeros(6)).data
+    out1 = verify_model.embed(ids, zeros(6) + 1).data
     lang = verify_model.params["lang_emb"].data
     delta = lang[1] - lang[0]
-    np.testing.assert_allclose(out1 - out0, np.tile(delta, (6, 1)), atol=1e-12)
+    np.testing.assert_allclose(out1 - out0, np.tile(delta, (1, 6, 1)), atol=1e-12)
 
 
 def test_embed_gradient_matches_finite_differences(verify_model, rng):
     ids = seq(rng, 5)
-    tags = np.array([0, 0, 1, 1, 0])
-    w = rng.standard_normal((5, 16))
+    tags = np.array([[0, 0, 1, 1, 0]])
+    w = rng.standard_normal((1, 5, 16))
 
     def loss():
         return ad.tsum(ad.mul(verify_model.embed(ids, tags), w))
@@ -52,19 +57,43 @@ def test_embed_gradient_matches_finite_differences(verify_model, rng):
 
 def test_embed_errors(verify_model, rng):
     with pytest.raises(ValueError, match="max_positions"):
-        verify_model.embed(seq(rng, 41), np.zeros(41, dtype=int))
+        verify_model.embed(seq(rng, 41), zeros(41))
     with pytest.raises(ValueError, match="tag"):
-        verify_model.embed(seq(rng, 3), np.array([0, 1, 2]))
+        verify_model.embed(seq(rng, 3), np.array([[0, 1, 2]]))
+
+
+@pytest.mark.parametrize("bad", [-1, V, 99])
+def test_embed_rejects_out_of_range_token_ids(verify_model, bad):
+    with pytest.raises(ValueError, match=f"token id {bad} outside"):
+        verify_model.embed(np.array([[7, bad, 9]]), zeros(3))
+    with pytest.raises(ValueError, match=f"token id {bad} outside"):
+        verify_model.encode(np.array([[7, 8], [bad, 9]]), np.zeros((2, 2), dtype=int))
+
+
+def test_forward_methods_take_batches_only(verify_model, rng):
+    ids = seq(rng, 4)
+    with pytest.raises(ValueError, match="2-D"):
+        verify_model.embed(ids[0], zeros(4)[0])
+    with pytest.raises(ValueError, match="2-D"):
+        verify_model.encode(ids[0], zeros(4)[0])
+    enc = verify_model.encode(ids, zeros(4))
+    tgt = np.array([[BOS_ID, 7]])
+    with pytest.raises(ValueError, match="2-D"):
+        verify_model.decode_forward(enc, None, tgt[0], 0)
+    with pytest.raises(ValueError, match="encoder_states"):
+        verify_model.decode_forward(ad.reshape(enc, (4, 16)), None, tgt, 0)
+    with pytest.raises(ValueError, match="tgt_lang"):
+        verify_model.decode_forward(enc, None, tgt, [0, 1])
 
 
 def test_encode_single_token_shape(verify_model):
-    out = verify_model.encode([7], [0])
-    assert out.shape == (1, 16)
+    out = verify_model.encode([[7]], [[0]])
+    assert out.shape == (1, 1, 16)
 
 
 def test_encode_is_pure(verify_model, rng):
     ids = seq(rng, 8)
-    tags = np.zeros(8, dtype=int)
+    tags = zeros(8)
     a = verify_model.encode(ids, tags).data
     b = verify_model.encode(ids, tags).data
     assert np.array_equal(a, b)
@@ -72,52 +101,41 @@ def test_encode_is_pure(verify_model, rng):
 
 def test_encode_pad_invariance(verify_model, rng):
     ids = seq(rng, 7)
-    tags = np.zeros(7, dtype=int)
-    plain = verify_model.encode(ids, tags, pad_mask=np.zeros(7, dtype=bool)).data
+    tags = zeros(7)
+    plain = verify_model.encode(ids, tags, pad_mask=np.zeros((1, 7), dtype=bool)).data
 
-    padded_ids = np.concatenate([ids, [1, 1, 1]])
-    pad_mask = np.array([False] * 7 + [True] * 3)
-    padded = verify_model.encode(padded_ids, np.zeros(10, dtype=int), pad_mask=pad_mask).data
-    np.testing.assert_allclose(padded[:7], plain, atol=1e-6)
+    padded_ids = np.concatenate([ids, [[1, 1, 1]]], axis=1)
+    pad_mask = np.array([[False] * 7 + [True] * 3])
+    padded = verify_model.encode(padded_ids, zeros(10), pad_mask=pad_mask).data
+    np.testing.assert_allclose(padded[:, :7], plain, atol=1e-6)
 
     # pad-position token ids are irrelevant to non-pad outputs
-    padded_ids2 = np.concatenate([ids, [9, 12, 20]])
-    padded2 = verify_model.encode(padded_ids2, np.zeros(10, dtype=int), pad_mask=pad_mask).data
-    np.testing.assert_allclose(padded2[:7], padded[:7], atol=1e-6)
+    padded_ids2 = np.concatenate([ids, [[9, 12, 20]]], axis=1)
+    padded2 = verify_model.encode(padded_ids2, zeros(10), pad_mask=pad_mask).data
+    np.testing.assert_allclose(padded2[:, :7], padded[:, :7], atol=1e-6)
 
 
 def test_decoder_causality(verify_model, rng):
     src = seq(rng, 6)
-    enc = verify_model.encode(src, np.zeros(6, dtype=int))
-    tgt = np.concatenate([[BOS_ID], seq(rng, 7)])
+    enc = verify_model.encode(src, zeros(6))
+    tgt = np.concatenate([[[BOS_ID]], seq(rng, 7)], axis=1)
     logits = verify_model.decode_forward(enc, None, tgt, 0).data
-    assert logits.shape == (8, V)
+    assert logits.shape == (1, 8, V)
     for t in range(7):
         mutated = tgt.copy()
-        mutated[t + 1:] = (mutated[t + 1:] + 3 - NUM_SPECIALS) % (V - NUM_SPECIALS) + NUM_SPECIALS
+        mutated[:, t + 1:] = ((mutated[:, t + 1:] + 3 - NUM_SPECIALS) % (V - NUM_SPECIALS)
+                              + NUM_SPECIALS)
         logits2 = verify_model.decode_forward(enc, None, mutated, 0).data
-        np.testing.assert_allclose(logits2[: t + 1], logits[: t + 1], atol=1e-6)
+        np.testing.assert_allclose(logits2[:, : t + 1], logits[:, : t + 1], atol=1e-6)
 
 
 def test_decoder_language_tag_pathway_is_live(verify_model, rng):
     src = seq(rng, 5)
-    enc = verify_model.encode(src, np.zeros(5, dtype=int))
-    tgt = np.concatenate([[BOS_ID], seq(rng, 4)])
+    enc = verify_model.encode(src, zeros(5))
+    tgt = np.concatenate([[[BOS_ID]], seq(rng, 4)], axis=1)
     l0 = verify_model.decode_forward(enc, None, tgt, 0).data
     l1 = verify_model.decode_forward(enc, None, tgt, 1).data
     assert np.abs(l0 - l1).max() > 1e-6
-
-
-def test_mlm_head_selection_identity(verify_model, rng):
-    ids = seq(rng, 6)
-    states = verify_model.encode(ids, np.zeros(6, dtype=int))
-    full = verify_model.output_logits(states).data
-    sel = verify_model.mlm_head(states, [0, 1, 2, 3, 4, 5]).data
-    np.testing.assert_array_equal(sel, full)
-    some = verify_model.mlm_head(states, [4, 1]).data
-    np.testing.assert_array_equal(some, full[[4, 1]])
-    with pytest.raises(ValueError, match="position"):
-        verify_model.mlm_head(states, [6])
 
 
 def test_partition_is_disjoint_and_exhaustive(verify_model):
@@ -149,25 +167,23 @@ def test_parameter_counts_match_closed_form():
     assert counts[ParamGroup.OUTPUT_HEAD] == 10
     assert counts[ParamGroup.ENCODER_LAYERS] == per_enc_layer + ln
     assert counts[ParamGroup.DECODER_LAYERS] == per_dec_layer + ln
-    assert model.num_params() == sum(counts.values())
 
 
 def test_tied_projection_shares_token_embedding(verify_model, rng):
     v = 9
-    ids = np.array([v, v + 1])
-    tags = np.zeros(2, dtype=int)
-    emb_before = verify_model.embed(ids, tags).data.copy()
-    states = verify_model.encode(seq(rng, 4), np.zeros(4, dtype=int))
+    ids = np.array([[v, v + 1]])
+    tags = zeros(2)
+    emb_before = verify_model.embed(ids, tags).data[0].copy()
+    states = verify_model.encode(seq(rng, 4), zeros(4))
     logits_before = verify_model.output_logits(states).data.copy()
 
     verify_model.params["tok_emb"].data[v] += 0.5
-    emb_after = verify_model.embed(ids, tags).data
-    logits_after = verify_model.output_logits(
-        verify_model.encode(seq(rng, 4), np.zeros(4, dtype=int))).data
+    emb_after = verify_model.embed(ids, tags).data[0]
+    logits_after = verify_model.output_logits(verify_model.encode(seq(rng, 4), zeros(4))).data
 
     assert np.abs(emb_after[0] - emb_before[0]).max() > 0.1   # encoding of v moved
     assert np.abs(emb_after[1] - emb_before[1]).max() == 0.0  # other rows untouched
-    assert np.abs(logits_after[:, v] - logits_before[:, v]).max() > 0.0
+    assert np.abs(logits_after[..., v] - logits_before[..., v]).max() > 0.0
 
 
 def test_group_of_rejects_unknown():
@@ -188,18 +204,28 @@ def test_checkpoint_roundtrip(tmp_path, verify_model):
     assert checkpoint_digest(path) == checkpoint_digest(path2)
 
 
-def test_checkpoint_shape_mismatch_fails_loudly(tmp_path, verify_model):
+def _rewrite(path, edit_header=None, edit_payload=None):
     import json
 
+    header_raw, _, payload = path.read_bytes().partition(b"\n")
+    header = json.loads(header_raw)
+    if edit_header:
+        edit_header(header)
+    if edit_payload:
+        payload = edit_payload(bytearray(payload))
+    tampered = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(tampered + b"\n" + bytes(payload))
+
+
+def test_checkpoint_shape_mismatch_fails_loudly(tmp_path, verify_model):
     path = tmp_path / "model.ckpt"
     save_checkpoint(verify_model, path)
-    blob = path.read_bytes()
-    header_raw, _, payload = blob.partition(b"\n")
-    header = json.loads(header_raw)
-    entry = next(e for e in header["params"] if e["name"] == "tok_emb")
-    entry["shape"] = list(reversed(entry["shape"]))
-    tampered = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    path.write_bytes(tampered + b"\n" + payload)
+
+    def transpose(header):
+        entry = next(e for e in header["params"] if e["name"] == "tok_emb")
+        entry["shape"] = list(reversed(entry["shape"]))
+
+    _rewrite(path, edit_header=transpose)
     with pytest.raises(ValueError, match="shape mismatch"):
         load_checkpoint(path)
 
@@ -219,3 +245,31 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path.write_bytes(b"\x00\x01\x02 not a checkpoint\n")
     with pytest.raises(ValueError):
         load_checkpoint(path)
+
+
+def test_checkpoint_rejects_a_flipped_payload_byte(tmp_path, verify_model):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(verify_model, path)
+
+    def flip(payload):
+        payload[len(payload) // 2] ^= 0x01
+        return payload
+
+    _rewrite(path, edit_payload=flip)
+    with pytest.raises(ValueError, match="sha256"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_non_float_payload_dtype(tmp_path):
+    cfg = ModelConfig(enc_layers=1, dec_layers=1, d_model=8, n_heads=2, d_ffn=16,
+                      max_positions=12, vocab_size=10, num_languages=2, dtype="float32")
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(Seq2SeqModel.build(cfg, seed=0), path)
+
+    def as_int32(header):
+        next(e for e in header["params"] if e["name"] == "tok_emb")["dtype"] = "<i4"
+
+    _rewrite(path, edit_header=as_int32)
+    with pytest.raises(ValueError, match="dtype '<i4'"):
+        load_checkpoint(path)
+

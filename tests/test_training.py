@@ -175,9 +175,11 @@ def test_lr_schedule_shape():
 
 
 def test_default_learning_rates_match_reference_settings():
+    from crossgen.config import DEFAULT_CONFIG
     assert OptimizerConfig().base_lr == pytest.approx(1e-4)
-    from crossgen.training import FINETUNE_DEFAULT_LR
-    assert FINETUNE_DEFAULT_LR == pytest.approx(5e-6)
+    assert DEFAULT_CONFIG["stage1"]["lr"] == pytest.approx(1e-4)
+    assert DEFAULT_CONFIG["stage2"]["lr"] == pytest.approx(1e-4)
+    assert DEFAULT_CONFIG["finetune"]["lr"] == pytest.approx(5e-6)
 
 
 def test_adam_zero_gradient_leaves_params_unchanged():
