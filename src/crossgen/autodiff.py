@@ -84,23 +84,6 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    # Convenience arithmetic; scalars are treated as constants.
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0) if isinstance(other, Tensor) else -other)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
@@ -307,7 +290,7 @@ def gelu(x: Tensor) -> Tensor:
     def backward(g):
         if x.requires_grad:
             pdf = np.exp(-0.5 * x.data * x.data) / np.sqrt(2.0 * np.pi)
-            x.accumulate(g * (cdf + x.data * pdf))
+            x.accumulate((g * (cdf + x.data * pdf)).astype(x.data.dtype))
 
     return _make(out.astype(x.data.dtype), (x,), backward)
 

@@ -14,8 +14,8 @@ import sys
 
 from .config import ConfigError, load_config
 from .corpus import (MonolingualCorpus, SynthConfig, load_mono_jsonl,
-                     load_parallel_jsonl, load_task_jsonl, read_jsonl,
-                     save_mono_jsonl, save_parallel_jsonl, save_task_jsonl)
+                     load_parallel_jsonl, load_task_jsonl, lookup_language, read_jsonl,
+                     save_mono_jsonl, save_parallel_jsonl, save_task_jsonl, write_jsonl)
 from .evaluation import evaluate_corpus, save_report
 from .experiments import (build_experiment_data, eval_task, finetune_cloned,
                           membership_cells, pretrain_variants)
@@ -177,8 +177,10 @@ def cmd_finetune(cfg, args) -> int:
     if args.trace:
         _guard_output(args.trace, args.force)
     model = load_checkpoint(args.ckpt)
-    langs = _languages(cfg)
-    dataset = load_task_jsonl(args.task, langs)
+    try:
+        dataset = load_task_jsonl(args.task, _languages(cfg))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     frozen = [g for g in model.partition_params() if g not in plan.trainable_groups]
     before = {g: model.group_digest(g) for g in frozen}
     trace = finetune(model, dataset, args.strategy, _opt_config(cfg["finetune"]),
@@ -207,18 +209,22 @@ def cmd_generate(cfg, args) -> int:
         allowed = restrict_vocab(load_mono_jsonl(args.restrict, langs))
     beam = args.beam if args.beam is not None else cfg["decode"]["beam_size"]
     max_len = args.max_len if args.max_len is not None else cfg["decode"]["max_len"]
-    dcfg = DecodeConfig(tgt_lang=[langs[row["tgt_lang"]] for row in rows], beam_size=beam,
-                        max_len=max_len, allowed_vocab=allowed)
     try:
-        decoded = beam_search_many(model, [[int(i) for i in row["input"]] for row in rows],
-                                   [langs[row["src_lang"]] for row in rows], dcfg)
+        src_langs, tgt_langs = [], []
+        for i, row in enumerate(rows):
+            src_langs.append(lookup_language(langs, row["src_lang"], f"input {i}"))
+            tgt_langs.append(lookup_language(langs, row["tgt_lang"], f"input {i}"))
     except ValueError as exc:
         raise UsageError(f"{args.manifest}: {exc}") from None
-    outputs = [{"output": ids, "score": score} for ids, score in decoded]
-    with atomic_write(args.out, "w", encoding="utf-8") as fh:
-        for rec in outputs:
-            fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
-    print(f"decoded {len(outputs)} inputs -> {args.out}")
+    dcfg = DecodeConfig(tgt_lang=tgt_langs, beam_size=beam, max_len=max_len,
+                        allowed_vocab=allowed)
+    try:
+        decoded = beam_search_many(model, [[int(i) for i in row["input"]] for row in rows],
+                                   src_langs, dcfg)
+    except ValueError as exc:
+        raise UsageError(f"{args.manifest}: {exc}") from None
+    write_jsonl(({"output": ids, "score": score} for ids, score in decoded), args.out)
+    print(f"decoded {len(decoded)} inputs -> {args.out}")
     return 0
 
 

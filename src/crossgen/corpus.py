@@ -14,6 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .fileio import atomic_write
 from .seeding import named_rng
 from .vocab import NUM_SPECIALS, SEP_ID, SPECIAL_TOKENS, LanguageTag, Vocab
 
@@ -221,8 +222,8 @@ def make_task_dataset(corpus: MonolingualCorpus, n: int, seed: int,
 # ---------------------------------------------------------------------------
 # JSONL persistence. One record per line; round trips are bit-exact.
 
-def _write_jsonl(records, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+def write_jsonl(records, path) -> None:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         for rec in records:
             fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
 
@@ -244,15 +245,25 @@ def read_jsonl(path, required_keys: Sequence[str]) -> list[dict]:
     return records
 
 
+def lookup_language(languages: Mapping[str, LanguageTag], name, where) -> LanguageTag:
+    """The language called `name`. An unknown name raises an error that names
+    `where` it was read: a file, or a row of one."""
+    try:
+        return languages[name]
+    except (KeyError, TypeError):
+        raise ValueError(f"{where}: unknown language {name!r}; expected one of "
+                         f"{sorted(languages)}") from None
+
+
 def save_mono_jsonl(corpus: MonolingualCorpus, path) -> None:
-    _write_jsonl(({"lang": corpus.lang.name, "ids": s} for s in corpus.sentences), path)
+    write_jsonl(({"lang": corpus.lang.name, "ids": s} for s in corpus.sentences), path)
 
 
 def load_mono_jsonl(path, languages: Mapping[str, LanguageTag]) -> MonolingualCorpus:
     records = read_jsonl(path, ("lang", "ids"))
     if not records:
         return MonolingualCorpus(next(iter(languages.values())), [])
-    lang = languages[records[0]["lang"]]
+    lang = lookup_language(languages, records[0]["lang"], path)
     sentences = []
     for rec in records:
         if rec["lang"] != lang.name:
@@ -262,7 +273,7 @@ def load_mono_jsonl(path, languages: Mapping[str, LanguageTag]) -> MonolingualCo
 
 
 def save_parallel_jsonl(corpus: ParallelCorpus, path) -> None:
-    _write_jsonl(
+    write_jsonl(
         ({"src": x, "tgt": y, "src_lang": corpus.src_lang.name,
           "tgt_lang": corpus.tgt_lang.name} for x, y in corpus.pairs),
         path,
@@ -274,14 +285,14 @@ def load_parallel_jsonl(path, languages: Mapping[str, LanguageTag]) -> ParallelC
     if not records:
         tags = list(languages.values())
         return ParallelCorpus(tags[0], tags[-1], [])
-    src_lang = languages[records[0]["src_lang"]]
-    tgt_lang = languages[records[0]["tgt_lang"]]
+    src_lang = lookup_language(languages, records[0]["src_lang"], path)
+    tgt_lang = lookup_language(languages, records[0]["tgt_lang"], path)
     pairs = [([int(i) for i in r["src"]], [int(i) for i in r["tgt"]]) for r in records]
     return ParallelCorpus(src_lang, tgt_lang, pairs)
 
 
 def save_task_jsonl(examples: Sequence[TaskExample], path) -> None:
-    _write_jsonl(
+    write_jsonl(
         ({"input": ex.input, "target": ex.target, "lang": ex.lang.name} for ex in examples),
         path,
     )
@@ -291,6 +302,6 @@ def load_task_jsonl(path, languages: Mapping[str, LanguageTag]) -> list[TaskExam
     records = read_jsonl(path, ("input", "target", "lang"))
     return [
         TaskExample([int(i) for i in r["input"]], [int(i) for i in r["target"]],
-                    languages[r["lang"]])
+                    lookup_language(languages, r["lang"], path))
         for r in records
     ]

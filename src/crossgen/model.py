@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -356,48 +357,43 @@ def _pad_bias(pad_mask) -> np.ndarray | None:
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint container: one JSON header line (format, config, parameter
-# manifest, payload sha256), then raw little-endian arrays. Deterministic
-# byte-for-byte so rerun checkpoints hash identically.
+# Checkpoint container: one JSON header line (format, config, sha256), then
+# every parameter in `param_specs(config)` order as raw little-endian arrays of
+# the config's dtype. The sha256 covers the canonical config JSON and the
+# payload. Deterministic byte-for-byte so rerun checkpoints hash identically.
 
-CKPT_FORMAT = "crossgen-ckpt-v1"
+CKPT_FORMAT = "crossgen-ckpt-v2"
+
+
+def _checksum(config: ModelConfig, payload: bytes) -> str:
+    h = hashlib.sha256(json.dumps(asdict(config), sort_keys=True,
+                                  separators=(",", ":")).encode("utf-8"))
+    h.update(payload)
+    return h.hexdigest()
 
 
 def save_checkpoint(model: Seq2SeqModel, path) -> None:
-    names = list(model.params)
-    manifest = []
-    offset = 0
+    config = model.config
+    le = np.dtype(config.np_dtype).newbyteorder("<")
     blobs = []
-    digest = hashlib.sha256()
-    for name in names:
+    for name, shape, _ in param_specs(config):
         arr = model.params[name].data
-        le_dtype = np.dtype(arr.dtype).newbyteorder("<")
-        raw = np.ascontiguousarray(arr, dtype=le_dtype).tobytes()
-        manifest.append({
-            "name": name,
-            "shape": list(arr.shape),
-            "dtype": le_dtype.str,
-            "group": group_of(name).value,
-            "offset": offset,
-            "nbytes": len(raw),
-        })
-        blobs.append(raw)
-        digest.update(raw)
-        offset += len(raw)
-    header = json.dumps(
-        {"format": CKPT_FORMAT, "config": asdict(model.config), "params": manifest,
-         "sha256": digest.hexdigest()},
-        sort_keys=True, separators=(",", ":"),
-    )
+        if arr.shape != shape or arr.dtype != config.np_dtype:
+            raise ValueError(f"parameter {name} is {arr.dtype} {arr.shape}, but the config "
+                             f"lays out {config.dtype} {shape}")
+        blobs.append(arr.astype(le, copy=False).tobytes())
+    payload = b"".join(blobs)
+    header = json.dumps({"format": CKPT_FORMAT, "config": asdict(config),
+                         "sha256": _checksum(config, payload)},
+                        sort_keys=True, separators=(",", ":"))
     with atomic_write(path, "wb") as fh:
         fh.write(header.encode("utf-8") + b"\n")
-        for raw in blobs:
-            fh.write(raw)
+        fh.write(payload)
 
 
 def load_checkpoint(path) -> Seq2SeqModel:
-    """Load and verify a checkpoint; any shape, dtype or config mismatch and
-    any payload byte that differs from the one saved fails loudly."""
+    """Load and verify a checkpoint: the payload must be exactly as long as
+    the header's config lays out and match the header's sha256."""
     with open(path, "rb") as fh:
         header_line = fh.readline()
         payload = fh.read()
@@ -405,38 +401,28 @@ def load_checkpoint(path) -> Seq2SeqModel:
         header = json.loads(header_line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"{path}: not a checkpoint file: {exc}") from None
-    if header.get("format") != CKPT_FORMAT:
-        raise ValueError(f"{path}: unsupported checkpoint format {header.get('format')!r}")
-    config = ModelConfig(**header["config"])
-    shapes = {name: shape for name, shape, _ in param_specs(config)}
-    listed = sum(entry["nbytes"] for entry in header["params"])
-    if len(payload) != listed:
-        raise ValueError(f"{path}: payload holds {len(payload)} bytes but the header "
-                         f"lists {listed}")
-    if header.get("sha256") != hashlib.sha256(payload).hexdigest():
-        raise ValueError(f"{path}: payload does not match the header's sha256")
-    params: dict[str, Tensor] = {}
-    for entry in header["params"]:
-        name = entry["name"]
-        if name not in shapes:
-            raise ValueError(f"{path}: unexpected parameter {name!r}")
-        expected = shapes[name]
-        if tuple(entry["shape"]) != expected:
-            raise ValueError(f"{path}: shape mismatch for {name}: "
-                             f"{entry['shape']} vs expected {list(expected)}")
-        if entry["group"] != group_of(name).value:
-            raise ValueError(f"{path}: group mismatch for {name}")
-        if entry["dtype"] not in ("<f4", "<f8"):
-            raise ValueError(f"{path}: unsupported dtype {entry['dtype']!r} for {name}")
-        raw = payload[entry["offset"]:entry["offset"] + entry["nbytes"]]
-        if len(raw) != entry["nbytes"]:
-            raise ValueError(f"{path}: truncated payload for {name}")
-        arr = np.frombuffer(raw, dtype=np.dtype(entry["dtype"])).reshape(entry["shape"])
-        params[name] = Tensor(arr.astype(config.np_dtype), requires_grad=True)
-    missing = set(shapes) - set(params)
-    if missing:
-        raise ValueError(f"{path}: missing parameters {sorted(missing)[:3]}...")
-    return Seq2SeqModel(config, params)
+    fmt = header.get("format") if isinstance(header, dict) else None
+    if fmt != CKPT_FORMAT:
+        raise ValueError(f"{path}: unsupported checkpoint format {fmt!r}")
+    keys = {f.name for f in fields(ModelConfig)}
+    if not isinstance(header.get("config"), dict) or set(header["config"]) != keys:
+        raise ValueError(f"{path}: checkpoint config must have exactly the keys {sorted(keys)}")
+    try:
+        config = ModelConfig(**header["config"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: bad checkpoint config: {exc}") from None
+    specs = param_specs(config)
+    sizes = [math.prod(shape) for _, shape, _ in specs]
+    le = np.dtype(config.np_dtype).newbyteorder("<")
+    if len(payload) != sum(sizes) * le.itemsize:
+        raise ValueError(f"{path}: payload holds {len(payload)} bytes but the config lays "
+                         f"out {sum(sizes) * le.itemsize}")
+    if header.get("sha256") != _checksum(config, payload):
+        raise ValueError(f"{path}: config and payload do not match the header's sha256")
+    flat = np.frombuffer(payload, dtype=le).astype(config.np_dtype)
+    chunks = np.split(flat, np.cumsum(sizes)[:-1])
+    return Seq2SeqModel(config, {name: Tensor(chunk.reshape(shape), requires_grad=True)
+                                 for (name, shape, _), chunk in zip(specs, chunks)})
 
 
 def checkpoint_digest(path) -> str:

@@ -17,6 +17,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .fileio import atomic_write
+
 MASK_ID = 0
 PAD_ID = 1
 SEP_ID = 2
@@ -103,7 +105,7 @@ class Vocab:
         lines = [f"{tok}\t{i}" for i, tok in enumerate(self.id_to_token)]
         lines.append(MERGES_HEADER)
         lines.extend(f"{left}\t{right}" for left, right in self.merges)
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
 
     @classmethod

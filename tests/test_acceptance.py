@@ -358,6 +358,7 @@ def transfer_results():
 # criterion 7: tag controllability and ablation ordering
 
 
+@pytest.mark.slow
 def test_criterion_7_tag_controllability(ablation_results):
     passes = []
     details = []
@@ -383,6 +384,7 @@ def test_criterion_7_tag_controllability(ablation_results):
 # criterion 8: zero-shot transfer across fine-tuning strategies
 
 
+@pytest.mark.slow
 def test_criterion_8_zero_shot_strategies(transfer_results):
     passes = []
     details = []
@@ -404,6 +406,7 @@ def test_criterion_8_zero_shot_strategies(transfer_results):
 # criterion 9: few-shot transfer
 
 
+@pytest.mark.slow
 def test_criterion_9_few_shot_transfer(transfer_results):
     beats = [transfer_results[seed]["c9_gaps"][50] > 0 for seed in SEEDS]
     medians = [statistics.median(transfer_results[seed]["c9_gaps"][size]

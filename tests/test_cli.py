@@ -241,6 +241,31 @@ def test_malformed_manifest_reports_line(workspace, tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["src_lang", "tgt_lang"])
+def test_generate_rejects_unknown_language(workspace, tmp_path, capsys, field):
+    row = {"input": [6, 7], "src_lang": "la", "tgt_lang": "lb", field: "lc"}
+    manifest = tmp_path / "lang.jsonl"
+    manifest.write_text(json.dumps(row) + "\n")
+    out = tmp_path / "o.jsonl"
+    code = run(*FAST, "generate", "--ckpt", str(workspace["stage2"]),
+               "--manifest", str(manifest), "--out", str(out))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(manifest) in err and "input 0: unknown language 'lc'" in err
+    assert not out.exists()
+
+
+def test_finetune_rejects_unknown_language(workspace, tmp_path, capsys):
+    task = tmp_path / "task.jsonl"
+    task.write_text(json.dumps({"input": [6, 2, 6], "target": [6], "lang": "lc"}) + "\n")
+    out = tmp_path / "ft.ckpt"
+    code = run(*FAST, "finetune", "--ckpt", str(workspace["stage2"]), "--task", str(task),
+               "--strategy", "et", "--out", str(out))
+    assert code == 2
+    assert f"{task}: unknown language 'lc'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_ablate_strategies_report(workspace, tmp_path):
     report_path = tmp_path / "strategies.json"
     assert run(*FAST, "ablate", "--which", "strategies", "--init",

@@ -162,6 +162,32 @@ def test_jsonl_empty_and_malformed(tmp_path):
         load_mono_jsonl(missing, langs)
 
 
+def test_jsonl_unknown_language_names_the_file(tmp_path):
+    langs = {"la": LanguageTag(0, "la"), "lb": LanguageTag(1, "lb")}
+    mono = tmp_path / "mono.jsonl"
+    mono.write_text(json.dumps({"lang": "lc", "ids": [7, 8]}) + "\n")
+    par = tmp_path / "par.jsonl"
+    par.write_text(json.dumps({"src": [7], "tgt": [8], "src_lang": "la",
+                               "tgt_lang": "lc"}) + "\n")
+    task = tmp_path / "task.jsonl"
+    task.write_text(json.dumps({"input": [7], "target": [8], "lang": "lc"}) + "\n")
+    for path, load in ((mono, load_mono_jsonl), (par, load_parallel_jsonl),
+                       (task, load_task_jsonl)):
+        with pytest.raises(ValueError, match=f"{path.name}: unknown language 'lc'"):
+            load(path, langs)
+
+
+def test_failed_jsonl_write_keeps_the_previous_file(tmp_path):
+    lang = LanguageTag(0, "la")
+    path = tmp_path / "mono.jsonl"
+    save_mono_jsonl(MonolingualCorpus(lang, [[7, 8]]), path)
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        save_mono_jsonl(MonolingualCorpus(lang, [[7, 9], [object()]]), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["mono.jsonl"]
+
+
 def test_synth_config_validation():
     with pytest.raises(ValueError):
         SynthConfig(sentence_len_range=(0, 4))

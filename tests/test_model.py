@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -205,8 +207,6 @@ def test_checkpoint_roundtrip(tmp_path, verify_model):
 
 
 def _rewrite(path, edit_header=None, edit_payload=None):
-    import json
-
     header_raw, _, payload = path.read_bytes().partition(b"\n")
     header = json.loads(header_raw)
     if edit_header:
@@ -217,16 +217,62 @@ def _rewrite(path, edit_header=None, edit_payload=None):
     path.write_bytes(tampered + b"\n" + bytes(payload))
 
 
-def test_checkpoint_shape_mismatch_fails_loudly(tmp_path, verify_model):
+def test_checkpoint_header_is_format_config_and_sha256(tmp_path):
+    cfg = ModelConfig(enc_layers=1, dec_layers=1, d_model=8, n_heads=2, d_ffn=16,
+                      max_positions=12, vocab_size=10, num_languages=2, dtype="float32")
+    model = Seq2SeqModel.build(cfg, seed=0)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    header_raw = path.read_bytes().partition(b"\n")[0]
+    assert set(json.loads(header_raw)) == {"format", "config", "sha256"}
+    n_params = sum(t.data.size for t in model.params.values())
+    assert path.stat().st_size == len(header_raw) + 1 + 4 * n_params
+    loaded = load_checkpoint(path)
+    for name, tensor in model.params.items():
+        assert loaded.params[name].data.dtype == np.float32
+        assert loaded.params[name].data.tobytes() == tensor.data.tobytes()
+
+
+def test_checkpoint_refuses_a_parameter_the_config_does_not_lay_out(tmp_path, verify_model):
+    verify_model.params["out_bias"].data = verify_model.params["out_bias"].data.astype(np.float32)
+    path = tmp_path / "model.ckpt"
+    with pytest.raises(ValueError, match="parameter out_bias is float32"):
+        save_checkpoint(verify_model, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("key, value", [("d_model", 8), ("dtype", "float32")])
+def test_checkpoint_config_edit_that_changes_payload_length_is_rejected(
+        tmp_path, verify_model, key, value):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(verify_model, path)
+    _rewrite(path, edit_header=lambda header: header["config"].update({key: value}))
+    with pytest.raises(ValueError, match="payload holds .* bytes but the config lays out"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_config_edit_that_keeps_payload_length_is_rejected(tmp_path, verify_model):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(verify_model, path)
+    assert verify_model.config.n_heads == 2
+    _rewrite(path, edit_header=lambda header: header["config"].update(n_heads=4))
+    with pytest.raises(ValueError, match="sha256"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit", ["unknown", "missing"])
+def test_checkpoint_config_keys_must_match_model_config(tmp_path, verify_model, edit):
     path = tmp_path / "model.ckpt"
     save_checkpoint(verify_model, path)
 
-    def transpose(header):
-        entry = next(e for e in header["params"] if e["name"] == "tok_emb")
-        entry["shape"] = list(reversed(entry["shape"]))
+    def change_keys(header):
+        if edit == "unknown":
+            header["config"]["dropout"] = 0.1
+        else:
+            del header["config"]["num_languages"]
 
-    _rewrite(path, edit_header=transpose)
-    with pytest.raises(ValueError, match="shape mismatch"):
+    _rewrite(path, edit_header=change_keys)
+    with pytest.raises(ValueError, match=f"{path.name}: checkpoint config must have"):
         load_checkpoint(path)
 
 
@@ -247,6 +293,14 @@ def test_checkpoint_rejects_garbage(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_rejects_another_format(tmp_path, verify_model):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(verify_model, path)
+    _rewrite(path, edit_header=lambda header: header.update(format="crossgen-ckpt-v1"))
+    with pytest.raises(ValueError, match="unsupported checkpoint format 'crossgen-ckpt-v1'"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_rejects_a_flipped_payload_byte(tmp_path, verify_model):
     path = tmp_path / "model.ckpt"
     save_checkpoint(verify_model, path)
@@ -258,18 +312,3 @@ def test_checkpoint_rejects_a_flipped_payload_byte(tmp_path, verify_model):
     _rewrite(path, edit_payload=flip)
     with pytest.raises(ValueError, match="sha256"):
         load_checkpoint(path)
-
-
-def test_checkpoint_rejects_non_float_payload_dtype(tmp_path):
-    cfg = ModelConfig(enc_layers=1, dec_layers=1, d_model=8, n_heads=2, d_ffn=16,
-                      max_positions=12, vocab_size=10, num_languages=2, dtype="float32")
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(Seq2SeqModel.build(cfg, seed=0), path)
-
-    def as_int32(header):
-        next(e for e in header["params"] if e["name"] == "tok_emb")["dtype"] = "<i4"
-
-    _rewrite(path, edit_header=as_int32)
-    with pytest.raises(ValueError, match="dtype '<i4'"):
-        load_checkpoint(path)
-

@@ -375,6 +375,35 @@ def test_periodic_checkpoints_embed_stage_and_step(tmp_path):
         ["finetune_et_step000003.ckpt", "finetune_et_step000006.ckpt"]
 
 
+def test_float32_model_trains_in_float32(monkeypatch):
+    """Every parameter and every Adam moment keeps the config's dtype through
+    both pre-training stages and fine-tuning."""
+    from crossgen import training
+
+    optimizers = []
+
+    class RecordingAdam(Adam):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            optimizers.append(self)
+
+    monkeypatch.setattr(training, "Adam", RecordingAdam)
+    data = tiny_data()
+    model = tiny_model(len(data.vocab), dtype="float32")
+    opt = OptimizerConfig(base_lr=1e-3, warmup_steps=1, total_steps=4)
+    corpora = [data.mono_a, data.mono_b]
+    pretrain_stage1(model, corpora, data.parallel, opt, NoiseConfig(), batch_size=4, seed=1)
+    pretrain_stage2(model, corpora, data.parallel, opt, NoiseConfig(), batch_size=4, seed=1)
+    ds = make_task_dataset(data.mono_a, 8, seed=1, marker_id=data.marker_id(data.lang_a))
+    finetune(model, ds, "all", opt, batch_size=4, seed=1)
+    assert len(optimizers) == 3
+    for name, t in model.params.items():
+        assert t.data.dtype == np.float32, name
+    for adam in optimizers:
+        for name in adam.params:
+            assert adam.m[name].dtype == adam.v[name].dtype == np.float32, name
+
+
 def test_finetune_strategy_table():
     assert FINETUNE_STRATEGIES["all"] == frozenset(ParamGroup)
     assert FINETUNE_STRATEGIES["et"] == frozenset({ParamGroup.ENCODER_LAYERS})
@@ -397,12 +426,13 @@ def test_non_finite_loss_stops_the_stage():
 
 def test_non_finite_parameters_are_not_checkpointed(tmp_path):
     """An update that makes the parameters non-finite stops the run before
-    the step checkpoint due after it is written; earlier ones stay finite."""
+    the step checkpoint due after it is written; earlier ones stay finite.
+    A learning rate beyond float32's range overflows the first update."""
     from crossgen.model import load_checkpoint
 
     data = tiny_data()
     model = tiny_model(len(data.vocab))
-    opt = OptimizerConfig(base_lr=1e30, warmup_steps=1, total_steps=6)
+    opt = OptimizerConfig(base_lr=1e39, warmup_steps=1, total_steps=6)
     with pytest.raises(FloatingPointError,
                        match=r"stage1: non-finite parameters .* after step (\d+)") as err:
         pretrain_stage1(model, [data.mono_a, data.mono_b], data.parallel, opt,
