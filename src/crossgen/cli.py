@@ -1,7 +1,8 @@
 """Command-line orchestration: data generation, pre-training, fine-tuning,
 decoding, evaluation, and scripted ablations.
 
-Exit codes: 0 success, 1 runtime failure, 2 configuration or usage error.
+Exit codes: 0 success, 1 runtime failure, 2 configuration or usage error;
+an input file that cannot be read or parsed is a usage error.
 Commands refuse to overwrite existing outputs unless --force is given.
 """
 
@@ -11,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from pathlib import Path
 
 from .config import ConfigError, load_config
 from .corpus import (MonolingualCorpus, SynthConfig, load_mono_jsonl,
@@ -25,7 +27,7 @@ from .model import (ModelConfig, Seq2SeqModel, checkpoint_digest,
                     load_checkpoint, save_checkpoint)
 from .noising import NoiseConfig
 from .training import (OptimizerConfig, finetune, finetune_plan, pretrain_stage1,
-                       pretrain_stage2, save_trace_csv, stage1_plan, stage2_plan)
+                       pretrain_stage2, save_trace_csv)
 from .vocab import NUM_SPECIALS, LanguageTag, Vocab, learn_vocab
 
 
@@ -73,20 +75,31 @@ def _guard_output(path, force: bool) -> None:
     os.makedirs(parent, exist_ok=True)
 
 
-def _load_vocab(data_dir) -> Vocab:
-    return Vocab.load(os.path.join(data_dir, "vocab.txt"))
+def _read(path, load, *args):
+    """`load(path, *args)`, for every input file the commands read: a file that
+    cannot be read or parsed is a usage error that names it."""
+    try:
+        return load(path, *args)
+    except (OSError, ValueError) as exc:
+        msg = str(exc)
+        raise UsageError(msg if str(path) in msg else f"{path}: {msg}") from None
+
+
+def _experiment_data(cfg):
+    names = cfg["languages"]
+    if len(names) != 2:
+        raise UsageError("the twin-language data has exactly two languages")
+    d = cfg["data"]
+    return build_experiment_data(_synth_config(cfg), d["task_train"], d["task_eval"],
+                                 d["n_probe"], tuple(names))
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 def cmd_gen_data(cfg, args) -> int:
-    data_cfg = cfg["data"]
     names = cfg["languages"]
-    if len(names) != 2:
-        raise UsageError("gen-data builds exactly two twin languages")
-    bundle = build_experiment_data(_synth_config(cfg), data_cfg["task_train"],
-                                   data_cfg["task_eval"], data_cfg["n_probe"])
+    bundle = _experiment_data(cfg)
     twin = bundle.twin
     out = args.out
     paths = {
@@ -103,8 +116,8 @@ def cmd_gen_data(cfg, args) -> int:
 
     twin.vocab.save(paths["vocab"])
     save_parallel_jsonl(twin.parallel, paths["parallel"])
-    for name in names:
-        lang = twin.lang_a if name == twin.lang_a.name else twin.lang_b
+    for lang in (twin.lang_a, twin.lang_b):
+        name = lang.name
         save_mono_jsonl(bundle.pretrain_mono[name], paths[f"mono_{name}"])
         save_mono_jsonl(MonolingualCorpus(lang, bundle.probe_sentences[name]),
                         paths[f"probe_{name}"])
@@ -116,16 +129,10 @@ def cmd_gen_data(cfg, args) -> int:
 
 def cmd_learn_vocab(cfg, args) -> int:
     _guard_output(args.out, args.force)
-    streams = []
-    with open(args.input, encoding="utf-8") as fh:
-        for line in fh:
-            units = line.split()
-            if not units:
-                continue
-            if args.char_base:
-                streams.extend([list(word) for word in units])
-            else:
-                streams.append(units)
+    text = _read(args.input, lambda path: Path(path).read_text(encoding="utf-8"))
+    lines = [line.split() for line in text.split("\n")]
+    streams = ([list(word) for units in lines for word in units] if args.char_base
+               else [units for units in lines if units])
     vocab = learn_vocab(streams, args.merges, char_base=args.char_base)
     vocab.save(args.out)
     print(f"vocabulary: {len(vocab)} tokens, {len(vocab.merges)} merges -> {args.out}")
@@ -134,9 +141,9 @@ def cmd_learn_vocab(cfg, args) -> int:
 
 def _load_corpora(cfg, data_dir):
     langs = _languages(cfg)
-    mono = [load_mono_jsonl(os.path.join(data_dir, f"mono_{name}.jsonl"), langs)
+    mono = [_read(os.path.join(data_dir, f"mono_{name}.jsonl"), load_mono_jsonl, langs)
             for name in cfg["languages"]]
-    parallel = load_parallel_jsonl(os.path.join(data_dir, "parallel.jsonl"), langs)
+    parallel = _read(os.path.join(data_dir, "parallel.jsonl"), load_parallel_jsonl, langs)
     return mono, parallel
 
 
@@ -144,20 +151,20 @@ def cmd_pretrain(cfg, args) -> int:
     _guard_output(args.out, args.force)
     if args.trace:
         _guard_output(args.trace, args.force)
-    vocab = _load_vocab(args.data)
+    vocab = _read(os.path.join(args.data, "vocab.txt"), Vocab.load)
     mono, parallel = _load_corpora(cfg, args.data)
 
     if args.stage == 1:
         model = Seq2SeqModel.build(_model_config(cfg, len(vocab)), seed=cfg["seed"])
-        train, plan = pretrain_stage1, stage1_plan()
+        train, weights = pretrain_stage1, {}
     else:
         if not args.init:
             raise UsageError("pretrain --stage 2 requires --init <stage-1 checkpoint>")
-        model = load_checkpoint(args.init)
-        train, plan = pretrain_stage2, stage2_plan(dae_weight=cfg["stage2"]["dae_weight"])
+        model = _read(args.init, load_checkpoint)
+        train, weights = pretrain_stage2, {"dae_weight": cfg["stage2"]["dae_weight"]}
     section = cfg[f"stage{args.stage}"]
     trace = train(model, mono, parallel, _opt_config(section), _noise_config(cfg),
-                  batch_size=section["batch_size"], seed=cfg["seed"], plan=plan,
+                  batch_size=section["batch_size"], seed=cfg["seed"], **weights,
                   checkpoint_every=args.save_every,
                   checkpoint_dir=os.path.dirname(os.path.abspath(args.out)))
     save_checkpoint(model, args.out)
@@ -176,11 +183,8 @@ def cmd_finetune(cfg, args) -> int:
     _guard_output(args.out, args.force)
     if args.trace:
         _guard_output(args.trace, args.force)
-    model = load_checkpoint(args.ckpt)
-    try:
-        dataset = load_task_jsonl(args.task, _languages(cfg))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    model = _read(args.ckpt, load_checkpoint)
+    dataset = _read(args.task, load_task_jsonl, _languages(cfg))
     frozen = [g for g in model.partition_params() if g not in plan.trainable_groups]
     before = {g: model.group_digest(g) for g in frozen}
     trace = finetune(model, dataset, args.strategy, _opt_config(cfg["finetune"]),
@@ -199,28 +203,28 @@ def cmd_finetune(cfg, args) -> int:
     return 0
 
 
+def _load_manifest(path, langs):
+    """Decode inputs with their source and target languages."""
+    rows = read_jsonl(path, ("input", "src_lang", "tgt_lang"))
+    return ([[int(i) for i in row["input"]] for row in rows],
+            [lookup_language(langs, row["src_lang"], f"input {i}") for i, row in enumerate(rows)],
+            [lookup_language(langs, row["tgt_lang"], f"input {i}") for i, row in enumerate(rows)])
+
+
 def cmd_generate(cfg, args) -> int:
     _guard_output(args.out, args.force)
-    model = load_checkpoint(args.ckpt)
+    model = _read(args.ckpt, load_checkpoint)
     langs = _languages(cfg)
-    rows = read_jsonl(args.manifest, ("input", "src_lang", "tgt_lang"))
+    inputs, src_langs, tgt_langs = _read(args.manifest, _load_manifest, langs)
     allowed = None
     if args.restrict:
-        allowed = restrict_vocab(load_mono_jsonl(args.restrict, langs))
+        allowed = restrict_vocab(_read(args.restrict, load_mono_jsonl, langs))
     beam = args.beam if args.beam is not None else cfg["decode"]["beam_size"]
     max_len = args.max_len if args.max_len is not None else cfg["decode"]["max_len"]
-    try:
-        src_langs, tgt_langs = [], []
-        for i, row in enumerate(rows):
-            src_langs.append(lookup_language(langs, row["src_lang"], f"input {i}"))
-            tgt_langs.append(lookup_language(langs, row["tgt_lang"], f"input {i}"))
-    except ValueError as exc:
-        raise UsageError(f"{args.manifest}: {exc}") from None
     dcfg = DecodeConfig(tgt_lang=tgt_langs, beam_size=beam, max_len=max_len,
                         allowed_vocab=allowed)
     try:
-        decoded = beam_search_many(model, [[int(i) for i in row["input"]] for row in rows],
-                                   src_langs, dcfg)
+        decoded = beam_search_many(model, inputs, src_langs, dcfg)
     except ValueError as exc:
         raise UsageError(f"{args.manifest}: {exc}") from None
     write_jsonl(({"output": ids, "score": score} for ids, score in decoded), args.out)
@@ -231,16 +235,16 @@ def cmd_generate(cfg, args) -> int:
 def cmd_evaluate(cfg, args) -> int:
     _guard_output(args.report, args.force)
     langs = _languages(cfg)
-    hyp_rows = read_jsonl(args.outputs, ("output",))
-    refs = load_task_jsonl(args.refs, langs)
-    if len(hyp_rows) != len(refs):
-        raise UsageError(f"{len(hyp_rows)} outputs vs {len(refs)} references")
+    hyps = _read(args.outputs, lambda path: [[int(i) for i in row["output"]]
+                                             for row in read_jsonl(path, ("output",))])
+    refs = _read(args.refs, load_task_jsonl, langs)
+    if len(hyps) != len(refs):
+        raise UsageError(f"{len(hyps)} outputs vs {len(refs)} references")
     lexicon = None
     if args.lexicon:
-        mono = load_mono_jsonl(args.lexicon, langs)
+        mono = _read(args.lexicon, load_mono_jsonl, langs)
         lexicon = {t for s in mono.sentences for t in s if t >= NUM_SPECIALS}
-    report = evaluate_corpus([[int(i) for i in r["output"]] for r in hyp_rows],
-                             [ex.target for ex in refs], lexicon=lexicon)
+    report = evaluate_corpus(hyps, [ex.target for ex in refs], lexicon=lexicon)
     save_report(report, args.report, config_echo={
         "outputs": os.path.basename(args.outputs),
         "refs": os.path.basename(args.refs),
@@ -258,9 +262,7 @@ def cmd_ablate(cfg, args) -> int:
     if bad:
         raise UsageError(f"unknown ablation {bad[0]!r}; "
                          "choose from no_xae, no_dae, strategies")
-    data_cfg = cfg["data"]
-    bundle = build_experiment_data(_synth_config(cfg), data_cfg["task_train"],
-                                   data_cfg["task_eval"], data_cfg["n_probe"])
+    bundle = _experiment_data(cfg)
     twin = bundle.twin
     seed = cfg["seed"]
     name_a, name_b = twin.lang_a.name, twin.lang_b.name
@@ -297,7 +299,7 @@ def cmd_ablate(cfg, args) -> int:
             })
 
     if "strategies" in which:
-        base = load_checkpoint(args.init) if args.init else models["full"]
+        base = _read(args.init, load_checkpoint) if args.init else models["full"]
         for strategy in ("all", "enc", "dec", "et"):
             tuned = finetune_cloned(base, bundle.task_train[name_a], strategy, ft,
                                     batch_size=ft_batch, seed=seed)

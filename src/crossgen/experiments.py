@@ -16,8 +16,7 @@ from .evaluation import MetricReport, evaluate_corpus, lang_membership
 from .generation import DecodeConfig, beam_search_many
 from .model import Seq2SeqModel
 from .noising import NoiseConfig
-from .training import (OptimizerConfig, finetune, pretrain_stage1, pretrain_stage2,
-                       stage2_plan)
+from .training import OptimizerConfig, finetune, pretrain_stage1, pretrain_stage2
 from .autodiff import Tensor
 
 
@@ -33,10 +32,11 @@ class ExperimentData:
 
 
 def build_experiment_data(synth_cfg: SynthConfig, n_task_train: int,
-                          n_task_eval: int, n_probe: int = 50) -> ExperimentData:
+                          n_task_eval: int, n_probe: int = 50,
+                          lang_names: tuple[str, str] = ("la", "lb")) -> ExperimentData:
     extra = n_task_train + n_task_eval + n_probe
     inflated = replace(synth_cfg, n_mono=synth_cfg.n_mono + extra)
-    twin = generate_twin_languages(inflated)
+    twin = generate_twin_languages(inflated, lang_names)
 
     pretrain_mono, task_train, task_eval, probes = {}, {}, {}, {}
     for corpus in (twin.mono_a, twin.mono_b):
@@ -62,8 +62,8 @@ def clone_model(model: Seq2SeqModel) -> Seq2SeqModel:
     return Seq2SeqModel(model.config, params)
 
 
-# stage-2 objective ablations, as stage2_plan flags
-STAGE2_VARIANTS = {"full": {}, "no_xae": {"use_xae": False}, "no_dae": {"use_dae": False}}
+# stage-2 objective ablations, as pretrain_stage2 objective weights
+STAGE2_VARIANTS = {"full": {}, "no_xae": {"xae_weight": 0.0}, "no_dae": {"dae_weight": 0.0}}
 
 
 def pretrain_variants(model: Seq2SeqModel, data: ExperimentData, variants: Sequence[str],
@@ -83,7 +83,7 @@ def pretrain_variants(model: Seq2SeqModel, data: ExperimentData, variants: Seque
         models[name] = clone_model(model)
         pretrain_stage2(models[name], mono, data.twin.parallel, s2_cfg, noise_cfg,
                         batch_size=s2_batch, seed=seed,
-                        plan=stage2_plan(dae_weight, **STAGE2_VARIANTS[name]))
+                        **{"dae_weight": dae_weight, **STAGE2_VARIANTS[name]})
     return models
 
 

@@ -187,18 +187,16 @@ class Seq2SeqModel:
     # ------------------------------------------------------------------
     # forward passes
 
-    def _check_positions(self, n: int) -> None:
-        if n > self.config.max_positions:
-            raise ValueError(f"sequence length {n} exceeds max_positions "
-                             f"{self.config.max_positions}")
-
     def embed(self, ids, lang_tags, start: int = 0) -> Tensor:
         """token + position + language-tag embeddings, summed per position;
         positions count from `start`."""
         ids, tags = _as_batch(ids, "ids"), _as_batch(lang_tags, "lang_tags")
         if ids.shape != tags.shape:
             raise ValueError("ids and lang_tags must have identical shape")
-        self._check_positions(start + ids.shape[1])
+        n = start + ids.shape[1]
+        if n > self.config.max_positions:
+            raise ValueError(f"sequence length {n} exceeds max_positions "
+                             f"{self.config.max_positions}")
         vocab = self.config.vocab_size
         bad = ids[(ids < 0) | (ids >= vocab)]
         if bad.size:
@@ -218,20 +216,13 @@ class Seq2SeqModel:
         return ad.swapaxes(ad.reshape(y, (x.shape[0], x.shape[1], cfg.n_heads, cfg.head_dim)),
                            1, 2)
 
-    def _attention(self, prefix: str, q_in: Tensor, kv_in: Tensor | None,
-                   bias: np.ndarray | None, cache: DecoderCache | None = None) -> Tensor:
-        """Multi-head attention of q_in over kv_in. With a cache, the keys and
-        values projected from kv_in extend the cached ones, or, when kv_in is
-        None (cross-attention), the cached keys and values are used as they are."""
+    def _attention(self, prefix: str, q_in: Tensor, k: Tensor, v: Tensor,
+                   bias: np.ndarray | None) -> Tensor:
+        """Multi-head attention of q_in (B, Tq, d) over keys and values already
+        split into heads (B, H, Tk, dh)."""
         cfg = self.config
         B, Tq = q_in.shape[0], q_in.shape[1]
         q = self._heads(prefix, q_in, "q")
-        if kv_in is None:
-            k, v = cache.kv[prefix]
-        else:
-            k, v = self._heads(prefix, kv_in, "k"), self._heads(prefix, kv_in, "v")
-            if cache is not None:
-                k, v = cache.extend(prefix, k, v)
         scores = ad.mul(ad.matmul(q, ad.swapaxes(k, -1, -2)), 1.0 / np.sqrt(cfg.head_dim))
         if bias is not None:
             scores = ad.add(scores, bias.astype(cfg.np_dtype))
@@ -254,48 +245,51 @@ class Seq2SeqModel:
         if bias is not None and (bias.shape[0], bias.shape[-1]) != x.shape[:2]:
             raise ValueError("pad_mask shape mismatch")
         for i in range(self.config.enc_layers):
-            normed = self._ln(f"enc.{i}.ln1", x)
-            x = ad.add(x, self._attention(f"enc.{i}.attn", normed, normed, bias))
+            prefix, normed = f"enc.{i}.attn", self._ln(f"enc.{i}.ln1", x)
+            k, v = self._heads(prefix, normed, "k"), self._heads(prefix, normed, "v")
+            x = ad.add(x, self._attention(prefix, normed, k, v, bias))
             x = ad.add(x, self._ffn(f"enc.{i}.ffn", self._ln(f"enc.{i}.ln2", x)))
         return self._ln("enc.final_ln", x)
 
     def start_decoding(self, encoder_states: Tensor, src_pad_mask=None) -> DecoderCache:
-        """An empty cache for incremental decoding of a batch of encoded
-        sources (B, Ts, d): each decoder layer's cross-attention keys and
-        values are computed here, once per source."""
+        """An empty cache for decoding a batch of encoded sources (B, Ts, d):
+        each decoder layer's cross-attention keys and values are computed
+        here, once per source."""
+        if len(encoder_states.shape) != 3:
+            raise ValueError("encoder_states must be (B, Ts, d)")
         kv = {}
         for i in range(self.config.dec_layers):
             prefix = f"dec.{i}.cross_attn"
             kv[prefix] = (self._heads(prefix, encoder_states, "k"),
                           self._heads(prefix, encoder_states, "v"))
-        return DecoderCache(kv, _pad_bias(src_pad_mask))
+        return DecoderCache(kv, _pad_bias(src_pad_mask), encoder_states.shape[0])
 
     def decode_forward(self, encoder_states: Tensor | None, src_pad_mask, target_ids,
                        tgt_lang, cache: DecoderCache | None = None) -> Tensor:
         """Causal decoding over BOS-prefixed targets; logits[:, t] sees
         targets[:, 0..t]. `tgt_lang` is one language id for every row or one
-        per row.
+        per row. Without a `cache`, the targets are decoded from a fresh
+        `start_decoding(encoder_states, src_pad_mask)` cache.
 
         Incremental mode (no-grad decoding only): with a `cache` from
         `start_decoding`, `encoder_states` and `src_pad_mask` are None and
-        `target_ids` continue the cached prefixes, one row per cache row. They
-        take the positions after the cached ones and attend to those too; the
-        cache then holds them as well.
+        `target_ids` continue the cached prefixes. They take the positions
+        after the cached ones and attend to those too; the cache then holds
+        them as well. Either way there is one target row per cache row.
         """
         tgt = _as_batch(target_ids, "target_ids")
         B, T = tgt.shape
-        if cache is not None:
-            if encoder_states is not None or src_pad_mask is not None:
-                raise ValueError("a cached decoder takes its sources from the cache")
-            start, cross_bias = cache.length, cache.cross_bias
-        else:
-            if len(encoder_states.shape) != 3 or encoder_states.shape[0] != B:
-                raise ValueError("encoder_states must be (B, Ts, d), one row per target row")
-            start, cross_bias = 0, _pad_bias(src_pad_mask)
-        self._check_positions(start + T)
+        if cache is None:
+            cache = self.start_decoding(encoder_states, src_pad_mask)
+        elif encoder_states is not None or src_pad_mask is not None:
+            raise ValueError("a cached decoder takes its sources from the cache")
+        if B != cache.rows:
+            raise ValueError(f"{B} target rows for {cache.rows} sources; "
+                             "need one target row per source row")
         lang = np.asarray(tgt_lang, dtype=np.int64)
         if lang.shape not in ((), (B,)):
             raise ValueError("tgt_lang must be one language id or one per example")
+        start = cache.length
         y = self.embed(tgt, np.broadcast_to(lang[..., None], (B, T)), start)
 
         # position start + t sees positions 0..start + t
@@ -304,15 +298,16 @@ class Seq2SeqModel:
         causal = causal[None, None, :, :]
 
         for i in range(self.config.dec_layers):
-            normed = self._ln(f"dec.{i}.ln1", y)
-            y = ad.add(y, self._attention(f"dec.{i}.self_attn", normed, normed, causal, cache))
-            y = ad.add(y, self._attention(f"dec.{i}.cross_attn", self._ln(f"dec.{i}.ln2", y),
-                                          encoder_states, cross_bias, cache))
+            prefix, normed = f"dec.{i}.self_attn", self._ln(f"dec.{i}.ln1", y)
+            k, v = cache.extend(prefix, self._heads(prefix, normed, "k"),
+                                self._heads(prefix, normed, "v"))
+            y = ad.add(y, self._attention(prefix, normed, k, v, causal))
+            prefix = f"dec.{i}.cross_attn"
+            y = ad.add(y, self._attention(prefix, self._ln(f"dec.{i}.ln2", y),
+                                          *cache.kv[prefix], cache.cross_bias))
             y = ad.add(y, self._ffn(f"dec.{i}.ffn", self._ln(f"dec.{i}.ln3", y)))
-        y = self._ln("dec.final_ln", y)
-        if cache is not None:
-            cache.length += T
-        return self.output_logits(y)
+        cache.length += T
+        return self.output_logits(self._ln("dec.final_ln", y))
 
     def output_logits(self, states: Tensor) -> Tensor:
         """Project hidden states through the tied token embedding table."""
@@ -322,13 +317,16 @@ class Seq2SeqModel:
 
 class DecoderCache:
     """Keys and values of the positions decoded so far, per attention layer:
-    (rows, H, T, dh) arrays under the layer's parameter prefix. Cross-attention
+    (rows, H, T, dh) tensors under the layer's parameter prefix. Cross-attention
     entries are computed once by `Seq2SeqModel.start_decoding`; self-attention
-    entries grow by one position per decoding step."""
+    entries grow with each `decode_forward` call. A fresh cache hands the first
+    call's keys and values back as they are, so gradients reach them."""
 
-    def __init__(self, kv: dict[str, tuple[Tensor, Tensor]], cross_bias: np.ndarray | None):
+    def __init__(self, kv: dict[str, tuple[Tensor, Tensor]], cross_bias: np.ndarray | None,
+                 rows: int):
         self.kv = kv
         self.cross_bias = cross_bias
+        self.rows = rows
         self.length = 0
 
     def extend(self, prefix: str, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
@@ -344,6 +342,7 @@ class DecoderCache:
         """Keep, repeat or permute rows: new row i is old row rows[i]."""
         self.kv = {p: (Tensor(k.data[rows]), Tensor(v.data[rows]))
                    for p, (k, v) in self.kv.items()}
+        self.rows = len(rows)
         if self.cross_bias is not None:
             self.cross_bias = self.cross_bias[rows]
 

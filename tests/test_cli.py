@@ -1,4 +1,5 @@
 import json
+import shutil
 import subprocess
 import sys
 
@@ -122,6 +123,7 @@ def test_pretrain_save_every_writes_step_checkpoints(workspace, tmp_path):
     assert names == ["final.ckpt", "stage1_step000003.ckpt", "stage1_step000006.ckpt"]
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_pretrain_stops_on_non_finite_loss(workspace, tmp_path, capsys):
     out = tmp_path / "s1.ckpt"
     code = run(*FAST, "--set", "stage1.lr=1e30", "pretrain", "--stage", "1",
@@ -237,7 +239,7 @@ def test_malformed_manifest_reports_line(workspace, tmp_path, capsys):
     manifest.write_text('{"input": [6], "src_lang": "la", "tgt_lang": "lb"}\n{oops\n')
     code = run(*FAST, "generate", "--ckpt", str(workspace["stage2"]),
                "--manifest", str(manifest), "--out", str(tmp_path / "o.jsonl"))
-    assert code == 1
+    assert code == 2
     assert "line 2" in capsys.readouterr().err
 
 
@@ -264,6 +266,76 @@ def test_finetune_rejects_unknown_language(workspace, tmp_path, capsys):
     assert code == 2
     assert f"{task}: unknown language 'lc'" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_evaluate_rejects_bad_input_files(workspace, tmp_path, capsys):
+    outputs = tmp_path / "outputs.jsonl"
+    outputs.write_text(json.dumps({"output": [6]}) + "\n")
+    refs = tmp_path / "refs.jsonl"
+    refs.write_text(json.dumps({"input": [6, 2, 6], "target": [6], "lang": "lc"}) + "\n")
+    report = tmp_path / "report.json"
+    assert run(*FAST, "evaluate", "--outputs", str(outputs), "--refs", str(refs),
+               "--report", str(report)) == 2
+    assert f"{refs}: unknown language 'lc'" in capsys.readouterr().err
+
+    bad_outputs = tmp_path / "bad_outputs.jsonl"
+    bad_outputs.write_text('{"output": [6]}\n{oops\n')
+    assert run(*FAST, "evaluate", "--outputs", str(bad_outputs),
+               "--refs", str(workspace["data"] / "task_la_eval.jsonl"),
+               "--report", str(report)) == 2
+    err = capsys.readouterr().err
+    assert str(bad_outputs) in err and "line 2" in err
+    assert not report.exists()
+
+
+def test_pretrain_rejects_unknown_corpus_language(workspace, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(workspace["data"], data)
+    mono = data / "mono_la.jsonl"
+    mono.write_text(mono.read_text().replace('"lang":"la"', '"lang":"lc"'))
+    out = tmp_path / "s1.ckpt"
+    code = run(*FAST, "pretrain", "--stage", "1", "--data", str(data), "--out", str(out))
+    assert code == 2
+    assert f"{mono}: unknown language 'lc'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_generate_rejects_unknown_restrict_language(workspace, tmp_path, capsys):
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text(json.dumps({"input": [6, 7], "src_lang": "la",
+                                    "tgt_lang": "lb"}) + "\n")
+    restrict = tmp_path / "restrict.jsonl"
+    restrict.write_text(json.dumps({"lang": "lc", "ids": [6, 7]}) + "\n")
+    out = tmp_path / "o.jsonl"
+    code = run(*FAST, "generate", "--ckpt", str(workspace["stage2"]), "--manifest",
+               str(manifest), "--out", str(out), "--restrict", str(restrict))
+    assert code == 2
+    assert f"{restrict}: unknown language 'lc'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_truncated_checkpoint_is_a_usage_error(workspace, tmp_path, capsys):
+    ckpt = tmp_path / "truncated.ckpt"
+    ckpt.write_bytes(workspace["stage2"].read_bytes()[:-8])
+    out = tmp_path / "ft.ckpt"
+    code = run(*FAST, "finetune", "--ckpt", str(ckpt), "--task",
+               str(workspace["data"] / "task_la_train.jsonl"), "--strategy", "et",
+               "--out", str(out))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and "payload" in err
+    assert not out.exists()
+
+
+def test_gen_data_honours_language_names(tmp_path):
+    sets = [*FAST, "--set", 'languages=["en","de"]']
+    data = tmp_path / "data"
+    assert run(*sets, "gen-data", "--out", str(data)) == 0
+    assert {"mono_en.jsonl", "mono_de.jsonl", "task_de_eval.jsonl"} <= {
+        p.name for p in data.iterdir()}
+    assert json.loads((data / "mono_de.jsonl").read_text().splitlines()[0])["lang"] == "de"
+    assert run(*sets, "pretrain", "--stage", "1", "--data", str(data),
+               "--out", str(tmp_path / "s1.ckpt")) == 0
 
 
 def test_ablate_strategies_report(workspace, tmp_path):

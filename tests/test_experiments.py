@@ -7,7 +7,7 @@ from crossgen.experiments import (STAGE2_VARIANTS, build_experiment_data,
 from crossgen.generation import DecodeConfig, beam_search
 from crossgen.model import ModelConfig, Seq2SeqModel
 from crossgen.noising import NoiseConfig
-from crossgen.training import OptimizerConfig, pretrain_stage1, pretrain_stage2, stage2_plan
+from crossgen.training import OptimizerConfig, pretrain_stage1, pretrain_stage2
 
 
 def tiny_data():
@@ -39,13 +39,13 @@ def test_shared_stage1_equals_separate_runs():
     assert list(shared) == ["full", "no_xae", "no_dae"]
 
     mono = [data.pretrain_mono["la"], data.pretrain_mono["lb"]]
-    for name, flags in STAGE2_VARIANTS.items():
+    for name, weights in STAGE2_VARIANTS.items():
         model = tiny_model(len(data.twin.vocab))
         pretrain_stage1(model, mono, data.twin.parallel, s1, NoiseConfig(),
                         batch_size=4, seed=4)
         assert_same_params(model, stage1)
         pretrain_stage2(model, mono, data.twin.parallel, s2, NoiseConfig(), batch_size=3,
-                        seed=4, plan=stage2_plan(0.7, **flags))
+                        seed=4, **{"dae_weight": 0.7, **weights})
         assert_same_params(model, shared[name])
 
 

@@ -88,6 +88,20 @@ def test_forward_methods_take_batches_only(verify_model, rng):
         verify_model.decode_forward(enc, None, tgt, [0, 1])
 
 
+def test_decoder_needs_one_target_row_per_source_row(verify_model, rng):
+    ids = np.concatenate([seq(rng, 4) for _ in range(3)])
+    enc = verify_model.encode(ids, np.zeros_like(ids))
+    tgt = np.array([[BOS_ID, 7]])
+    with pytest.raises(ValueError, match="1 target rows for 3 sources"):
+        verify_model.decode_forward(enc, None, tgt, 0)
+    with ad.no_grad():
+        cache = verify_model.start_decoding(enc)
+        with pytest.raises(ValueError, match="1 target rows for 3 sources"):
+            verify_model.decode_forward(None, None, tgt, 0, cache=cache)
+        cache.reorder(np.array([2]))
+        assert verify_model.decode_forward(None, None, tgt, 0, cache=cache).shape == (1, 2, V)
+
+
 def test_encode_single_token_shape(verify_model):
     out = verify_model.encode([[7]], [[0]])
     assert out.shape == (1, 1, 16)
