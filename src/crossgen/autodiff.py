@@ -4,13 +4,16 @@ A Tensor wraps an ndarray and remembers how it was produced; backward() walks
 the tape in reverse topological order and accumulates gradients into every
 tensor that requires them. Only the primitives the sequence model needs are
 implemented, each with a hand-derived adjoint: broadcasting add/mul, (batched)
-matmul, reshape/swapaxes, reductions, embedding gather, index gathers for
-likelihood terms, softmax / log-softmax, layer norm, and exact GELU.
+matmul, swapaxes, a full sum, embedding gather, layer norm, exact GELU, and two
+fused ops: multi-head attention (head split, scaled scores, bias, softmax,
+context and head merge) and the weighted negative log-likelihood of target
+tokens. Only `attention` knows the per-head layout.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -156,17 +159,6 @@ def matmul(a, b) -> Tensor:
     return _make(out, (a, b), backward)
 
 
-def reshape(a: Tensor, shape) -> Tensor:
-    a = _as_tensor(a)
-    out = a.data.reshape(shape)
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(g.reshape(a.data.shape))
-
-    return _make(out, (a,), backward)
-
-
 def swapaxes(a: Tensor, ax1: int, ax2: int) -> Tensor:
     a = _as_tensor(a)
     out = a.data.swapaxes(ax1, ax2)
@@ -204,58 +196,63 @@ def gather_rows(table: Tensor, ids: np.ndarray) -> Tensor:
     return _make(out, (table,), backward)
 
 
-def take_rows(a: Tensor, idx: np.ndarray) -> Tensor:
-    """Select rows along the first axis (masked-position logits)."""
-    idx = np.asarray(idx, dtype=np.intp)
-    out = a.data[idx]
+def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None,
+              n_heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention of q (B, Tq, d) over keys and
+    values (B, Tk, d), split into `n_heads` heads of d / n_heads dims. `bias`
+    is None or an additive score bias that broadcasts to (B, n_heads, Tq, Tk).
+    Returns the heads' contexts merged back to (B, Tq, d)."""
+    B, d = q.shape[0], q.shape[-1]
+    dh = d // n_heads
+    scale = 1.0 / math.sqrt(dh)  # a Python float keeps float32 scores float32
+
+    def split(x):  # (B, T, d) -> (B, H, T, dh)
+        return x.reshape(B, -1, n_heads, dh).swapaxes(1, 2)
+
+    def merge(x):  # (B, H, T, dh) -> (B, T, d)
+        return x.swapaxes(1, 2).reshape(B, -1, d)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    p = qh @ kh.swapaxes(-1, -2)
+    p *= scale
+    if bias is not None:
+        p += bias.astype(p.dtype, copy=False)
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out = merge(p @ vh)
 
     def backward(g):
-        if a.requires_grad:
-            ga = np.zeros_like(a.data)
-            np.add.at(ga, idx, g)
-            a.accumulate(ga)
+        gh = split(g)
+        gp = gh @ vh.swapaxes(-1, -2)
+        gs = (gp - (gp * p).sum(axis=-1, keepdims=True)) * p * scale
+        if q.requires_grad:
+            q.accumulate(merge(gs @ kh))
+        if k.requires_grad:
+            k.accumulate(merge(gs.swapaxes(-1, -2) @ qh))
+        if v.requires_grad:
+            v.accumulate(merge(p.swapaxes(-1, -2) @ gh))
 
-    return _make(out, (a,), backward)
-
-
-def gather_last(a: Tensor, idx: np.ndarray) -> Tensor:
-    """out[...] = a[..., idx[...]] along the last axis (per-position NLL terms)."""
-    idx = np.asarray(idx, dtype=np.intp)
-    out = np.take_along_axis(a.data, idx[..., None], axis=-1)[..., 0]
-
-    def backward(g):
-        if a.requires_grad:
-            ga = np.zeros_like(a.data)
-            grids = np.indices(idx.shape)
-            np.add.at(ga, (*grids, idx), g)
-            a.accumulate(ga)
-
-    return _make(out, (a,), backward)
+    return _make(out, (q, k, v), backward)
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    a = _as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+def nll(logits: Tensor, targets: np.ndarray, weights: np.ndarray) -> Tensor:
+    """Weighted negative log-likelihood of target ids under a softmax over the
+    last axis, as a scalar: -sum(weights * log_softmax(logits)[..., targets])."""
+    targets = np.asarray(targets, dtype=np.intp)[..., None]
+    w = np.asarray(weights, dtype=logits.dtype)  # float64 weights would widen float32 grads
+    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
+    z = e.sum(axis=-1, keepdims=True)
+    picked = (np.take_along_axis(shifted, targets, axis=-1) - np.log(z))[..., 0]
+    out = -(picked * w).sum()
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate((g - (g * s).sum(axis=axis, keepdims=True)) * s)
+        if logits.requires_grad:
+            onehot = np.arange(logits.shape[-1]) == targets
+            logits.accumulate((e / z - onehot) * (w * g)[..., None])
 
-    return _make(s, (a,), backward)
-
-
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    a = _as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    ls = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(g - np.exp(ls) * g.sum(axis=axis, keepdims=True))
-
-    return _make(ls, (a,), backward)
+    return _make(out, (logits,), backward)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -284,15 +281,16 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 def gelu(x: Tensor) -> Tensor:
     """Exact Gaussian-CDF GELU: x * Phi(x)."""
     x = _as_tensor(x)
-    cdf = 0.5 * (1.0 + erf(x.data / np.sqrt(2.0)))
+    # Python-float constants keep a float32 input in float32
+    cdf = 0.5 * (1.0 + erf(x.data * (1.0 / math.sqrt(2.0))))
     out = x.data * cdf
 
     def backward(g):
         if x.requires_grad:
-            pdf = np.exp(-0.5 * x.data * x.data) / np.sqrt(2.0 * np.pi)
-            x.accumulate((g * (cdf + x.data * pdf)).astype(x.data.dtype))
+            pdf = np.exp(-0.5 * x.data * x.data) * (1.0 / math.sqrt(2.0 * math.pi))
+            x.accumulate(g * (cdf + x.data * pdf))
 
-    return _make(out.astype(x.data.dtype), (x,), backward)
+    return _make(out, (x,), backward)
 
 
 def zero_grads(tensors: Iterable[Tensor]) -> None:

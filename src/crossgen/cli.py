@@ -27,7 +27,7 @@ from .model import (ModelConfig, Seq2SeqModel, checkpoint_digest,
                     load_checkpoint, save_checkpoint)
 from .noising import NoiseConfig
 from .training import (OptimizerConfig, finetune, finetune_plan, pretrain_stage1,
-                       pretrain_stage2, save_trace_csv)
+                       pretrain_stage2, save_trace_csv, stage2_plan)
 from .vocab import NUM_SPECIALS, LanguageTag, Vocab, learn_vocab
 
 
@@ -39,9 +39,19 @@ def _languages(cfg) -> dict[str, LanguageTag]:
     return {name: LanguageTag(i, name) for i, name in enumerate(cfg["languages"])}
 
 
+def _checked(section: str, build, *args, **kwargs):
+    """`build(*args, **kwargs)` from the values of one config section: a value
+    it rejects is a configuration error that names the section."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"config section {section}: {exc}") from None
+
+
 def _synth_config(cfg) -> SynthConfig:
     d = cfg["data"]
-    return SynthConfig(
+    return _checked(
+        "data", SynthConfig,
         vocab_size_per_lang=d["vocab_size_per_lang"],
         sentence_len_range=(d["sentence_min_len"], d["sentence_max_len"]),
         n_mono=d["n_mono"], n_parallel=d["n_parallel"],
@@ -52,20 +62,27 @@ def _synth_config(cfg) -> SynthConfig:
 
 def _model_config(cfg, vocab_size: int) -> ModelConfig:
     m = cfg["model"]
-    return ModelConfig(
+    return _checked(
+        "model", ModelConfig,
         enc_layers=m["enc_layers"], dec_layers=m["dec_layers"], d_model=m["d_model"],
         n_heads=m["n_heads"], d_ffn=m["d_ffn"], max_positions=m["max_positions"],
         vocab_size=vocab_size, num_languages=len(cfg["languages"]), dtype=m["dtype"],
     )
 
 
-def _opt_config(section) -> OptimizerConfig:
-    return OptimizerConfig(base_lr=section["lr"], warmup_steps=section["warmup_steps"],
-                           total_steps=section["steps"])
+def _opt_config(cfg, stage: str) -> OptimizerConfig:
+    section = cfg[stage]
+    return _checked(stage, OptimizerConfig, base_lr=section["lr"],
+                    warmup_steps=section["warmup_steps"], total_steps=section["steps"])
 
 
 def _noise_config(cfg) -> NoiseConfig:
-    return NoiseConfig(**cfg["noise"])
+    return _checked("noise", NoiseConfig, **cfg["noise"])
+
+
+def _dae_weight(cfg) -> float:
+    """The stage-2 DAE weight, checked by building the stage-2 plan."""
+    return _checked("stage2", stage2_plan, cfg["stage2"]["dae_weight"]).objective_weights["dae"]
 
 
 def _guard_output(path, force: bool) -> None:
@@ -161,10 +178,10 @@ def cmd_pretrain(cfg, args) -> int:
         if not args.init:
             raise UsageError("pretrain --stage 2 requires --init <stage-1 checkpoint>")
         model = _read(args.init, load_checkpoint)
-        train, weights = pretrain_stage2, {"dae_weight": cfg["stage2"]["dae_weight"]}
-    section = cfg[f"stage{args.stage}"]
-    trace = train(model, mono, parallel, _opt_config(section), _noise_config(cfg),
-                  batch_size=section["batch_size"], seed=cfg["seed"], **weights,
+        train, weights = pretrain_stage2, {"dae_weight": _dae_weight(cfg)}
+    stage = f"stage{args.stage}"
+    trace = train(model, mono, parallel, _opt_config(cfg, stage), _noise_config(cfg),
+                  batch_size=cfg[stage]["batch_size"], seed=cfg["seed"], **weights,
                   checkpoint_every=args.save_every,
                   checkpoint_dir=os.path.dirname(os.path.abspath(args.out)))
     save_checkpoint(model, args.out)
@@ -187,7 +204,7 @@ def cmd_finetune(cfg, args) -> int:
     dataset = _read(args.task, load_task_jsonl, _languages(cfg))
     frozen = [g for g in model.partition_params() if g not in plan.trainable_groups]
     before = {g: model.group_digest(g) for g in frozen}
-    trace = finetune(model, dataset, args.strategy, _opt_config(cfg["finetune"]),
+    trace = finetune(model, dataset, args.strategy, _opt_config(cfg, "finetune"),
                      batch_size=cfg["finetune"]["batch_size"], seed=cfg["seed"],
                      checkpoint_every=args.save_every,
                      checkpoint_dir=os.path.dirname(os.path.abspath(args.out)))
@@ -267,7 +284,7 @@ def cmd_ablate(cfg, args) -> int:
     seed = cfg["seed"]
     name_a, name_b = twin.lang_a.name, twin.lang_b.name
     beam = cfg["decode"]["beam_size"]
-    ft, ft_batch = _opt_config(cfg["finetune"]), cfg["finetune"]["batch_size"]
+    ft, ft_batch = _opt_config(cfg, "finetune"), cfg["finetune"]["batch_size"]
 
     # the pre-trained variants share one stage-1 run; "full" is also the
     # strategies' base unless --init gives one
@@ -277,9 +294,9 @@ def cmd_ablate(cfg, args) -> int:
     if variants:
         models = pretrain_variants(
             Seq2SeqModel.build(_model_config(cfg, len(twin.vocab)), seed=seed), bundle,
-            variants, _opt_config(cfg["stage1"]), _opt_config(cfg["stage2"]),
+            variants, _opt_config(cfg, "stage1"), _opt_config(cfg, "stage2"),
             _noise_config(cfg), seed, s1_batch=cfg["stage1"]["batch_size"],
-            s2_batch=cfg["stage2"]["batch_size"], dae_weight=cfg["stage2"]["dae_weight"])
+            s2_batch=cfg["stage2"]["batch_size"], dae_weight=_dae_weight(cfg))
 
     report: dict = {"seed": seed, "which": which, "rows": []}
 

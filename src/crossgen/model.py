@@ -47,10 +47,6 @@ class ModelConfig:
     def np_dtype(self):
         return np.float64 if self.dtype == "float64" else np.float32
 
-    @property
-    def head_dim(self) -> int:
-        return self.d_model // self.n_heads
-
 
 class ParamGroup(Enum):
     WORD_EMBEDDINGS = "WordEmbeddings"
@@ -205,35 +201,23 @@ class Seq2SeqModel:
             raise ValueError("language tag id out of range")
         P = self.params
         x = ad.gather_rows(P["tok_emb"], ids)
-        x = ad.add(x, ad.take_rows(P["pos_emb"], np.arange(start, start + ids.shape[1])))
+        x = ad.add(x, ad.gather_rows(P["pos_emb"], np.arange(start, n)))
         return ad.add(x, ad.gather_rows(P["lang_emb"], tags))
 
-    def _heads(self, prefix: str, x: Tensor, which: str) -> Tensor:
-        """Project (B, T, d) states with `{prefix}.w{which}` and split the
-        result into heads: (B, H, T, dh)."""
-        P, cfg = self.params, self.config
-        y = ad.add(ad.matmul(x, P[f"{prefix}.w{which}"]), P[f"{prefix}.b{which}"])
-        return ad.swapaxes(ad.reshape(y, (x.shape[0], x.shape[1], cfg.n_heads, cfg.head_dim)),
-                           1, 2)
+    def _proj(self, prefix: str, x: Tensor, which: str) -> Tensor:
+        """x @ `{prefix}.w{which}` + `{prefix}.b{which}`."""
+        P = self.params
+        return ad.add(ad.matmul(x, P[f"{prefix}.w{which}"]), P[f"{prefix}.b{which}"])
 
     def _attention(self, prefix: str, q_in: Tensor, k: Tensor, v: Tensor,
                    bias: np.ndarray | None) -> Tensor:
         """Multi-head attention of q_in (B, Tq, d) over keys and values already
-        split into heads (B, H, Tk, dh)."""
-        cfg = self.config
-        B, Tq = q_in.shape[0], q_in.shape[1]
-        q = self._heads(prefix, q_in, "q")
-        scores = ad.mul(ad.matmul(q, ad.swapaxes(k, -1, -2)), 1.0 / np.sqrt(cfg.head_dim))
-        if bias is not None:
-            scores = ad.add(scores, bias.astype(cfg.np_dtype))
-        ctx = ad.matmul(ad.softmax(scores), v)
-        merged = ad.reshape(ad.swapaxes(ctx, 1, 2), (B, Tq, cfg.d_model))
-        return ad.add(ad.matmul(merged, self.params[f"{prefix}.wo"]), self.params[f"{prefix}.bo"])
+        projected, (B, Tk, d); `bias` is added to the scores (B, H, Tq, Tk)."""
+        ctx = ad.attention(self._proj(prefix, q_in, "q"), k, v, bias, self.config.n_heads)
+        return self._proj(prefix, ctx, "o")
 
     def _ffn(self, prefix: str, x: Tensor) -> Tensor:
-        P = self.params
-        h = ad.gelu(ad.add(ad.matmul(x, P[f"{prefix}.w1"]), P[f"{prefix}.b1"]))
-        return ad.add(ad.matmul(h, P[f"{prefix}.w2"]), P[f"{prefix}.b2"])
+        return self._proj(prefix, ad.gelu(self._proj(prefix, x, "1")), "2")
 
     def _ln(self, prefix: str, x: Tensor) -> Tensor:
         return ad.layer_norm(x, self.params[f"{prefix}.g"], self.params[f"{prefix}.b"])
@@ -246,7 +230,7 @@ class Seq2SeqModel:
             raise ValueError("pad_mask shape mismatch")
         for i in range(self.config.enc_layers):
             prefix, normed = f"enc.{i}.attn", self._ln(f"enc.{i}.ln1", x)
-            k, v = self._heads(prefix, normed, "k"), self._heads(prefix, normed, "v")
+            k, v = self._proj(prefix, normed, "k"), self._proj(prefix, normed, "v")
             x = ad.add(x, self._attention(prefix, normed, k, v, bias))
             x = ad.add(x, self._ffn(f"enc.{i}.ffn", self._ln(f"enc.{i}.ln2", x)))
         return self._ln("enc.final_ln", x)
@@ -260,8 +244,8 @@ class Seq2SeqModel:
         kv = {}
         for i in range(self.config.dec_layers):
             prefix = f"dec.{i}.cross_attn"
-            kv[prefix] = (self._heads(prefix, encoder_states, "k"),
-                          self._heads(prefix, encoder_states, "v"))
+            kv[prefix] = (self._proj(prefix, encoder_states, "k"),
+                          self._proj(prefix, encoder_states, "v"))
         return DecoderCache(kv, _pad_bias(src_pad_mask), encoder_states.shape[0])
 
     def decode_forward(self, encoder_states: Tensor | None, src_pad_mask, target_ids,
@@ -295,12 +279,11 @@ class Seq2SeqModel:
         # position start + t sees positions 0..start + t
         causal = np.where(np.triu(np.ones((T, start + T), dtype=bool), k=start + 1),
                           NEG_INF, 0.0)
-        causal = causal[None, None, :, :]
 
         for i in range(self.config.dec_layers):
             prefix, normed = f"dec.{i}.self_attn", self._ln(f"dec.{i}.ln1", y)
-            k, v = cache.extend(prefix, self._heads(prefix, normed, "k"),
-                                self._heads(prefix, normed, "v"))
+            k, v = cache.extend(prefix, self._proj(prefix, normed, "k"),
+                                self._proj(prefix, normed, "v"))
             y = ad.add(y, self._attention(prefix, normed, k, v, causal))
             prefix = f"dec.{i}.cross_attn"
             y = ad.add(y, self._attention(prefix, self._ln(f"dec.{i}.ln2", y),
@@ -317,7 +300,7 @@ class Seq2SeqModel:
 
 class DecoderCache:
     """Keys and values of the positions decoded so far, per attention layer:
-    (rows, H, T, dh) tensors under the layer's parameter prefix. Cross-attention
+    projected (rows, T, d) tensors under the layer's parameter prefix. Cross-attention
     entries are computed once by `Seq2SeqModel.start_decoding`; self-attention
     entries grow with each `decode_forward` call. A fresh cache hands the first
     call's keys and values back as they are, so gradients reach them."""
@@ -333,8 +316,8 @@ class DecoderCache:
         """Append new positions' keys and values; returns the whole sequence's."""
         if prefix in self.kv:
             old_k, old_v = self.kv[prefix]
-            k = Tensor(np.concatenate([old_k.data, k.data], axis=2))
-            v = Tensor(np.concatenate([old_v.data, v.data], axis=2))
+            k = Tensor(np.concatenate([old_k.data, k.data], axis=1))
+            v = Tensor(np.concatenate([old_v.data, v.data], axis=1))
         self.kv[prefix] = (k, v)
         return k, v
 

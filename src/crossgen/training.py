@@ -15,6 +15,7 @@ run, and so do non-finite parameters where a checkpoint is due.
 from __future__ import annotations
 
 import csv
+import math
 import os
 from dataclasses import dataclass
 from typing import Sequence
@@ -89,10 +90,7 @@ class Adam:
 
 def _mean_scored_nll(logits: Tensor, targets: np.ndarray, weights: np.ndarray) -> Tensor:
     """Mean over batch of per-example sums of -log p(target) at weighted positions."""
-    logp = ad.log_softmax(logits)
-    picked = ad.gather_last(logp, targets)
-    total = ad.tsum(ad.mul(picked, weights.astype(logits.dtype)))
-    return ad.mul(total, -1.0 / logits.shape[0])
+    return ad.mul(ad.nll(logits, targets, weights), 1.0 / logits.shape[0])
 
 
 def loss_mlm(model: Seq2SeqModel, examples: Sequence[MaskedExample]) -> Tensor:
@@ -221,6 +219,9 @@ def stage1_plan() -> StagePlan:
 
 def stage2_plan(dae_weight: float = 0.5, xae_weight: float = 1.0) -> StagePlan:
     """The decoder learns from DAE and XAE; a weight of 0 leaves that objective out."""
+    for name, w in (("dae_weight", dae_weight), ("xae_weight", xae_weight)):
+        if not (math.isfinite(w) and w >= 0.0):
+            raise ValueError(f"{name} must be a finite number >= 0, got {w!r}")
     return StagePlan(("stage2",), STAGE2_GROUPS, {"dae": dae_weight, "xae": xae_weight})
 
 

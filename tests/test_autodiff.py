@@ -61,27 +61,80 @@ def test_matmul_grads_2d_and_batched(rng):
     check_grads(lambda: ad.tsum(ad.mul(ad.matmul(p, q), w3)), [p, q], rng)
 
 
-def test_reshape_swapaxes_grads(rng):
+def test_swapaxes_grads(rng):
     a = param(rng, 2, 3, 4)
-    w = rng.standard_normal((4, 6))
+    w = rng.standard_normal((4, 3, 2))
+    check_grads(lambda: ad.tsum(ad.mul(ad.swapaxes(a, 0, 2), w)), [a], rng)
 
-    def loss():
-        return ad.tsum(ad.mul(ad.reshape(ad.swapaxes(a, 0, 2), (4, 6)), w))
 
-    check_grads(loss, [a], rng)
+def pad_bias(pad):
+    """(B, Tk) pad mask -> additive (B, 1, 1, Tk) score bias."""
+    return np.where(pad, -1e9, 0.0)[:, None, None, :]
+
+
+def causal_bias(t):
+    return np.where(np.triu(np.ones((t, t), dtype=bool), k=1), -1e9, 0.0)
+
+
+def reference_attention(q, k, v, bias, n_heads):
+    """Head by head and row by row, in plain numpy."""
+    B, Tq, d = q.shape
+    dh = d // n_heads
+    bias = np.broadcast_to(0.0 if bias is None else bias, (B, n_heads, Tq, k.shape[1]))
+    out = np.zeros_like(q)
+    for b in range(B):
+        for h in range(n_heads):
+            cols = slice(h * dh, (h + 1) * dh)
+            scores = q[b, :, cols] @ k[b, :, cols].T / np.sqrt(dh) + bias[b, h]
+            p = np.exp(scores - scores.max(axis=1, keepdims=True))
+            out[b, :, cols] = (p / p.sum(axis=1, keepdims=True)) @ v[b, :, cols]
+    return out
 
 
 def test_softmax_rows_sum_to_one(rng):
-    x = Tensor(rng.standard_normal((5, 9)) * 10)
-    s = ad.softmax(x)
-    np.testing.assert_allclose(s.data.sum(axis=-1), np.ones(5), atol=1e-9)
+    # values of ones: each head's output is the sum of its softmax row
+    q = Tensor(rng.standard_normal((2, 3, 6)) * 10)
+    k = Tensor(rng.standard_normal((2, 5, 6)) * 10)
+    ones = Tensor(np.ones((2, 5, 6)))
+    pad = np.array([[False] * 5, [False, False, False, True, True]])
+    for bias in (None, pad_bias(pad)):
+        out = ad.attention(q, k, ones, bias, n_heads=3)
+        np.testing.assert_allclose(out.data, np.ones((2, 3, 6)), atol=1e-9)
 
 
-def test_softmax_log_softmax_grads(rng):
-    a = param(rng, 3, 5)
-    w = rng.standard_normal((3, 5))
-    check_grads(lambda: ad.tsum(ad.mul(ad.softmax(a), w)), [a], rng)
-    check_grads(lambda: ad.tsum(ad.mul(ad.log_softmax(a), w)), [a], rng)
+def test_attention_matches_numpy_reference(rng):
+    q, k, v = (rng.standard_normal((2, t, 8)) for t in (3, 4, 4))
+    pad = np.array([[False, False, True, True], [False] * 4])
+    for bias in (None, pad_bias(pad)):
+        out = ad.attention(Tensor(q), Tensor(k), Tensor(v), bias, n_heads=2)
+        np.testing.assert_allclose(out.data, reference_attention(q, k, v, bias, 2),
+                                   rtol=1e-12, atol=1e-12)
+    qc = rng.standard_normal((2, 4, 8))
+    out = ad.attention(Tensor(qc), Tensor(k), Tensor(v), causal_bias(4), n_heads=4)
+    np.testing.assert_allclose(out.data, reference_attention(qc, k, v, causal_bias(4), 4),
+                               rtol=1e-12, atol=1e-12)
+
+
+def test_attention_grads_with_pad_and_causal_bias(rng):
+    q, k, v = param(rng, 2, 3, 4), param(rng, 2, 4, 4), param(rng, 2, 4, 4)
+    w = rng.standard_normal((2, 3, 4))
+    bias = pad_bias(np.array([[False, False, False, True], [False, True, False, False]]))
+    check_grads(lambda: ad.tsum(ad.mul(ad.attention(q, k, v, bias, 2), w)), [q, k, v], rng)
+
+    x, y = param(rng, 2, 4, 4), param(rng, 2, 4, 4)
+    w2 = rng.standard_normal((2, 4, 4))
+    # q, k and v from one tensor, as in self-attention
+    check_grads(lambda: ad.tsum(ad.mul(ad.attention(x, x, y, causal_bias(4), 2), w2)),
+                [x, y], rng)
+
+
+def test_attention_ignores_values_at_masked_keys(rng):
+    q, k, v = (rng.standard_normal((2, t, 4)) for t in (3, 5, 5))
+    pad = np.array([[False, False, False, True, True], [False] * 4 + [True]])
+    before = ad.attention(Tensor(q), Tensor(k), Tensor(v), pad_bias(pad), 2).data
+    v[pad] = rng.standard_normal((3, 4)) * 100
+    after = ad.attention(Tensor(q), Tensor(k), Tensor(v), pad_bias(pad), 2).data
+    np.testing.assert_array_equal(after, before)
 
 
 def test_layer_norm_grads(rng):
@@ -114,24 +167,37 @@ def test_gather_rows_grads(rng):
     np.testing.assert_allclose(table.grad[1], np.full(3, 3.0))
 
 
-def test_take_rows_and_gather_last_grads(rng):
-    x = param(rng, 5, 4)
+def test_nll_grads_and_1d_gather_rows(rng):
+    x = param(rng, 2, 3, 4)
+    targets = np.array([[0, 3, 3], [2, 2, 0]])      # repeated targets
+    weights = np.array([[1.0, 0.0, 2.5], [0.0, 1.0, 0.5]])
+    check_grads(lambda: ad.nll(x, targets, weights), [x], rng)
+    # zero-weight positions get no gradient
+    ad.zero_grads([x])
+    ad.nll(x, targets, weights).backward()
+    assert not x.grad[weights == 0.0].any()
+
+    # 1-D ids (positions) through gather_rows
+    table = param(rng, 5, 4)
     w = rng.standard_normal((3, 4))
-    check_grads(lambda: ad.tsum(ad.mul(ad.take_rows(x, np.array([4, 0, 4])), w)),
-                [x], rng)
-
-    y = param(rng, 2, 3, 4)
-    idx = np.array([[0, 3, 1], [2, 2, 0]])
-    w2 = rng.standard_normal((2, 3))
-    check_grads(lambda: ad.tsum(ad.mul(ad.gather_last(y, idx), w2)), [y], rng)
+    check_grads(lambda: ad.tsum(ad.mul(ad.gather_rows(table, np.array([4, 0, 4])), w)),
+                [table], rng)
 
 
-def test_gather_last_values(rng):
-    data = np.arange(24, dtype=float).reshape(2, 3, 4)
-    idx = np.array([[0, 1, 2], [3, 0, 1]])
-    out = ad.gather_last(Tensor(data), idx)
-    expected = np.array([[0, 5, 10], [15, 16, 21]], dtype=float)
-    np.testing.assert_array_equal(out.data, expected)
+def test_nll_values(rng):
+    logits = rng.standard_normal((2, 3, 4)) * 5
+    targets = np.array([[0, 1, 2], [3, 0, 1]])
+    weights = rng.uniform(0.0, 2.0, (2, 3))
+    logp = logits - np.log(np.exp(logits).sum(axis=-1, keepdims=True))
+    picked = np.take_along_axis(logp, targets[..., None], axis=-1)[..., 0]
+    out = ad.nll(Tensor(logits), targets, weights)
+    assert out.shape == ()
+    np.testing.assert_allclose(out.item(), -(weights * picked).sum(), rtol=1e-12)
+    # float64 weights leave float32 logits and their gradient in float32
+    x = Tensor(logits.astype(np.float32), requires_grad=True)
+    loss = ad.nll(x, targets, weights)
+    loss.backward()
+    assert loss.dtype == np.float32 and x.grad.dtype == np.float32
 
 
 def test_grad_accumulates_across_multiple_uses(rng):

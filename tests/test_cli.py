@@ -78,6 +78,30 @@ def test_non_integer_value_for_integer_key_exits_2(workspace, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("setting", ["data.sentence_min_len=0", "model.n_heads=3",
+                                     "stage1.warmup_steps=5000", "noise.mask_rate=2.0"])
+def test_out_of_range_config_value_exits_2(workspace, tmp_path, capsys, setting):
+    section = setting.split(".")[0]
+    out = tmp_path / "out"
+    command = (["gen-data", "--out", str(out)] if section == "data" else
+               ["pretrain", "--stage", "1", "--data", str(workspace["data"]), "--out", str(out)])
+    assert run(*FAST, "--set", setting, *command) == 2
+    assert f"config section {section}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("weight", ["-1", "NaN"])
+def test_negative_or_non_finite_stage2_weight_exits_2(workspace, tmp_path, capsys, weight):
+    sets = [*FAST, "--set", f"stage2.dae_weight={weight}"]
+    out, report = tmp_path / "s2.ckpt", tmp_path / "r.json"
+    assert run(*sets, "pretrain", "--stage", "2", "--data", str(workspace["data"]),
+               "--init", str(workspace["stage1"]), "--out", str(out)) == 2
+    assert "config section stage2: dae_weight" in capsys.readouterr().err
+    assert run(*sets, "ablate", "--which", "no_xae", "--report", str(report)) == 2
+    assert "config section stage2: dae_weight" in capsys.readouterr().err
+    assert not out.exists() and not report.exists()
+
+
 def test_config_file_overlay(tmp_path):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"data": {"n_mono": 41}}))

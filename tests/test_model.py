@@ -83,7 +83,7 @@ def test_forward_methods_take_batches_only(verify_model, rng):
     with pytest.raises(ValueError, match="2-D"):
         verify_model.decode_forward(enc, None, tgt[0], 0)
     with pytest.raises(ValueError, match="encoder_states"):
-        verify_model.decode_forward(ad.reshape(enc, (4, 16)), None, tgt, 0)
+        verify_model.decode_forward(ad.Tensor(enc.data.reshape(4, 16)), None, tgt, 0)
     with pytest.raises(ValueError, match="tgt_lang"):
         verify_model.decode_forward(enc, None, tgt, [0, 1])
 

@@ -88,6 +88,31 @@ def test_nll_limit_case_confident_model():
     assert loss.item() < 1e-9
 
 
+def tape_ops(loss):
+    """Number of recorded ops (nodes with a backward) on a loss's tape."""
+    seen, stack, count = set(), [loss], 0
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            count += node._backward is not None
+            stack.extend(node._parents)
+    return count
+
+
+def test_loss_tape_op_counts_at_default_config():
+    model = Seq2SeqModel.build(ModelConfig(), seed=0)
+    x, y = [6, 7, 8, 9], [10, 11, 12]
+    counts = {
+        "mlm": tape_ops(loss_mlm(model, [masked([6, 0, 8, 9], [1], [7])])),
+        "xmlm": tape_ops(loss_xmlm(model, [masked([6, 0, 8, 2, 10, 0, 12], [1, 5], [7, 11],
+                                                  boundary=3)])),
+        "dae": tape_ops(loss_dae(model, [NoisedExample(x, x, LA, LA)])),
+        "xae": tape_ops(loss_xae(model, [(x, y)], LA, LB)),
+    }
+    assert counts == {"mlm": 47, "xmlm": 47, "dae": 111, "xae": 223}
+
+
 def test_losses_are_nonnegative_and_batch_averaged():
     model = uniform_model(vocab_size=8)
     ex = masked([6, 7], [0], [6])
@@ -239,6 +264,13 @@ def test_stage_plan_invariants():
     assert plan2.objective_weights["dae"] == 0.5
     with pytest.raises(ValueError, match="at least one"):
         stage2_plan(dae_weight=0.0, xae_weight=0.0)
+
+
+@pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("which", ["dae_weight", "xae_weight"])
+def test_stage2_plan_rejects_negative_or_non_finite_weights(which, bad):
+    with pytest.raises(ValueError, match=f"{which} must be a finite number >= 0"):
+        stage2_plan(**{which: bad})
 
 
 def test_stage1_freezes_decoder_and_reduces_loss():
