@@ -12,8 +12,7 @@ from .model import ModelConfig, ParamGroup, Seq2SeqModel, load_checkpoint, save_
 from .training import (Adam, OptimizerConfig, StagePlan, finetune, loss_dae, loss_mlm,
                        loss_task, loss_xae, loss_xmlm, lr_at, pretrain_stage1,
                        pretrain_stage2, stage1_plan, stage2_plan)
-from .generation import (BeamHypothesis, DecodeConfig, beam_search, beam_search_many,
-                         restrict_vocab)
+from .generation import DecodeConfig, beam_search, beam_search_many, restrict_vocab
 from .evaluation import MetricReport, bleu4, evaluate_corpus, lang_membership, rouge_l, rouge_n
 
 __all__ = [name for name in dir() if not name.startswith("_")]

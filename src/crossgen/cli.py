@@ -20,14 +20,14 @@ from .corpus import (MonolingualCorpus, SynthConfig, load_mono_jsonl,
                      save_mono_jsonl, save_parallel_jsonl, save_task_jsonl, write_jsonl)
 from .evaluation import evaluate_corpus, save_report
 from .experiments import (build_experiment_data, eval_task, finetune_cloned,
-                          membership_cells, pretrain_variants)
+                          membership_cells, pretrain_variants, variant_weights)
 from .fileio import atomic_write
 from .generation import DecodeConfig, beam_search_many, restrict_vocab
 from .model import (ModelConfig, Seq2SeqModel, checkpoint_digest,
                     load_checkpoint, save_checkpoint)
 from .noising import NoiseConfig
 from .training import (OptimizerConfig, finetune, finetune_plan, pretrain_stage1,
-                       pretrain_stage2, save_trace_csv, stage2_plan)
+                       pretrain_stage2, save_trace_csv)
 from .vocab import NUM_SPECIALS, LanguageTag, Vocab, learn_vocab
 
 
@@ -80,9 +80,15 @@ def _noise_config(cfg) -> NoiseConfig:
     return _checked("noise", NoiseConfig, **cfg["noise"])
 
 
-def _dae_weight(cfg) -> float:
-    """The stage-2 DAE weight, checked by building the stage-2 plan."""
-    return _checked("stage2", stage2_plan, cfg["stage2"]["dae_weight"]).objective_weights["dae"]
+def _stage2_weights(cfg, variants=("full",)) -> dict[str, dict]:
+    """Each stage-2 variant's objective weights under the config, checked."""
+    return _checked("stage2", variant_weights, variants, cfg["stage2"]["dae_weight"])
+
+
+def _decode_config(cfg, tgt_lang=(), **overrides) -> DecodeConfig:
+    """The decode section, with the overrides that are not None, checked."""
+    values = {**cfg["decode"], **{k: v for k, v in overrides.items() if v is not None}}
+    return _checked("decode", DecodeConfig, tgt_lang=tgt_lang, **values)
 
 
 def _guard_output(path, force: bool) -> None:
@@ -178,7 +184,7 @@ def cmd_pretrain(cfg, args) -> int:
         if not args.init:
             raise UsageError("pretrain --stage 2 requires --init <stage-1 checkpoint>")
         model = _read(args.init, load_checkpoint)
-        train, weights = pretrain_stage2, {"dae_weight": _dae_weight(cfg)}
+        train, weights = pretrain_stage2, _stage2_weights(cfg)["full"]
     stage = f"stage{args.stage}"
     trace = train(model, mono, parallel, _opt_config(cfg, stage), _noise_config(cfg),
                   batch_size=cfg[stage]["batch_size"], seed=cfg["seed"], **weights,
@@ -235,11 +241,10 @@ def cmd_generate(cfg, args) -> int:
     inputs, src_langs, tgt_langs = _read(args.manifest, _load_manifest, langs)
     allowed = None
     if args.restrict:
-        allowed = restrict_vocab(_read(args.restrict, load_mono_jsonl, langs))
-    beam = args.beam if args.beam is not None else cfg["decode"]["beam_size"]
-    max_len = args.max_len if args.max_len is not None else cfg["decode"]["max_len"]
-    dcfg = DecodeConfig(tgt_lang=tgt_langs, beam_size=beam, max_len=max_len,
-                        allowed_vocab=allowed)
+        allowed = _read(args.restrict,
+                        lambda path: restrict_vocab(load_mono_jsonl(path, langs)))
+    dcfg = _decode_config(cfg, tgt_langs, beam_size=args.beam, max_len=args.max_len,
+                          allowed_vocab=allowed)
     try:
         decoded = beam_search_many(model, inputs, src_langs, dcfg)
     except ValueError as exc:
@@ -279,24 +284,24 @@ def cmd_ablate(cfg, args) -> int:
     if bad:
         raise UsageError(f"unknown ablation {bad[0]!r}; "
                          "choose from no_xae, no_dae, strategies")
-    bundle = _experiment_data(cfg)
-    twin = bundle.twin
-    seed = cfg["seed"]
-    name_a, name_b = twin.lang_a.name, twin.lang_b.name
-    beam = cfg["decode"]["beam_size"]
-    ft, ft_batch = _opt_config(cfg, "finetune"), cfg["finetune"]["batch_size"]
-
+    beam = _decode_config(cfg).beam_size
     # the pre-trained variants share one stage-1 run; "full" is also the
     # strategies' base unless --init gives one
     ablations = [w for w in ("no_xae", "no_dae") if w in which]
     variants = ["full"] + ablations if ablations or not args.init else []
+    _stage2_weights(cfg, variants)
+    bundle = _experiment_data(cfg)
+    twin = bundle.twin
+    seed = cfg["seed"]
+    name_a, name_b = twin.lang_a.name, twin.lang_b.name
+    ft, ft_batch = _opt_config(cfg, "finetune"), cfg["finetune"]["batch_size"]
     models = {}
     if variants:
         models = pretrain_variants(
             Seq2SeqModel.build(_model_config(cfg, len(twin.vocab)), seed=seed), bundle,
             variants, _opt_config(cfg, "stage1"), _opt_config(cfg, "stage2"),
             _noise_config(cfg), seed, s1_batch=cfg["stage1"]["batch_size"],
-            s2_batch=cfg["stage2"]["batch_size"], dae_weight=_dae_weight(cfg))
+            s2_batch=cfg["stage2"]["batch_size"], dae_weight=cfg["stage2"]["dae_weight"])
 
     report: dict = {"seed": seed, "which": which, "rows": []}
 

@@ -16,7 +16,8 @@ from .evaluation import MetricReport, evaluate_corpus, lang_membership
 from .generation import DecodeConfig, beam_search_many
 from .model import Seq2SeqModel
 from .noising import NoiseConfig
-from .training import OptimizerConfig, finetune, pretrain_stage1, pretrain_stage2
+from .training import (OptimizerConfig, finetune, pretrain_stage1, pretrain_stage2,
+                       stage2_plan)
 from .autodiff import Tensor
 
 
@@ -66,6 +67,19 @@ def clone_model(model: Seq2SeqModel) -> Seq2SeqModel:
 STAGE2_VARIANTS = {"full": {}, "no_xae": {"xae_weight": 0.0}, "no_dae": {"dae_weight": 0.0}}
 
 
+def variant_weights(variants: Sequence[str], dae_weight: float = 0.5) -> dict[str, dict]:
+    """Each named stage-2 variant's pretrain_stage2 weights; ValueError, naming
+    the variant, if its weights make no valid stage-2 plan."""
+    weights = {}
+    for name in variants:
+        weights[name] = {"dae_weight": dae_weight, **STAGE2_VARIANTS[name]}
+        try:
+            stage2_plan(**weights[name])
+        except ValueError as exc:
+            raise ValueError(f"{exc} (stage-2 variant {name})") from None
+    return weights
+
+
 def pretrain_variants(model: Seq2SeqModel, data: ExperimentData, variants: Sequence[str],
                       s1_cfg: OptimizerConfig, s2_cfg: OptimizerConfig,
                       noise_cfg: NoiseConfig, seed: int, s1_batch: int = 16,
@@ -73,7 +87,9 @@ def pretrain_variants(model: Seq2SeqModel, data: ExperimentData, variants: Seque
                       dae_weight: float = 0.5) -> dict[str, Seq2SeqModel]:
     """Stage 1 on `model` in place, then each named stage-2 variant on its own
     copy of it. Stage 1 depends only on the seed, so sharing it gives every
-    variant the same parameters as a separate two-stage run."""
+    variant the same parameters as a separate two-stage run. Every variant's
+    weights are checked before stage 1."""
+    weights = variant_weights(variants, dae_weight)
     mono = [data.pretrain_mono[data.twin.lang_a.name],
             data.pretrain_mono[data.twin.lang_b.name]]
     pretrain_stage1(model, mono, data.twin.parallel, s1_cfg, noise_cfg,
@@ -82,8 +98,7 @@ def pretrain_variants(model: Seq2SeqModel, data: ExperimentData, variants: Seque
     for name in variants:
         models[name] = clone_model(model)
         pretrain_stage2(models[name], mono, data.twin.parallel, s2_cfg, noise_cfg,
-                        batch_size=s2_batch, seed=seed,
-                        **{"dae_weight": dae_weight, **STAGE2_VARIANTS[name]})
+                        batch_size=s2_batch, seed=seed, **weights[name])
     return models
 
 

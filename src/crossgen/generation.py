@@ -4,7 +4,10 @@ Beam search with accumulated log-probability scores (no length
 normalization), deterministic lexicographic tie-breaking, an optional
 allowed-vocabulary restriction, and target-language tag forcing on every
 decoder call. Sources are decoded in padded batches by an incremental
-decoder that caches attention keys and values.
+decoder that caches attention keys and values. The beam of a batch is held
+in arrays (ids, scores, live flags), and each step selects the next beam of
+every source at once: one partition finds each source's k-th best score and
+one lexsort orders the candidates at or above it.
 """
 
 from __future__ import annotations
@@ -18,17 +21,6 @@ from .autodiff import no_grad
 from .corpus import MonolingualCorpus
 from .model import Seq2SeqModel, pad_batch
 from .vocab import BOS_ID, EOS_ID, NUM_SPECIALS, LanguageTag
-
-
-@dataclass
-class BeamHypothesis:
-    ids: list[int]          # BOS-prefixed partial target
-    score: float            # accumulated log-probability
-    finished: bool = False
-
-    def sort_key(self):
-        # higher score first; ties resolved by lexicographic token-id order
-        return (-self.score, tuple(self.ids))
 
 
 @dataclass
@@ -129,7 +121,7 @@ def _per_input(tags, n: int, what: str) -> list[LanguageTag]:
 
 def _decode_chunk(model: Seq2SeqModel, inputs: list[list[int]], src_tags, tgt_tags,
                   allowed: np.ndarray, cfg: DecodeConfig) -> list[tuple[list[int], float]]:
-    n_src = len(inputs)
+    n, k, n_tok = len(inputs), cfg.beam_size, len(allowed)
     src, pad = pad_batch(inputs)
     pad = pad if pad.any() else None
     src_ids = np.array([t.id for t in src_tags], dtype=np.int64)
@@ -137,74 +129,57 @@ def _decode_chunk(model: Seq2SeqModel, inputs: list[list[int]], src_tags, tgt_ta
     cache = model.start_decoding(enc, pad)
     tgt_ids = np.array([t.id for t in tgt_tags], dtype=np.int64)
 
-    beams = [[BeamHypothesis([BOS_ID], 0.0)] for _ in range(n_src)]
-    best: list[BeamHypothesis | None] = [None] * n_src
-    active = list(range(n_src))   # sources with a live hypothesis
-    parents = None                # cache row of each live hypothesis's parent
-    for _ in range(cfg.max_len):
-        if not active:
+    # The beam: ids (n, k, t) start with BOS, and a finished hypothesis gets a
+    # -1 per later step, so it sorts before any longer sequence it prefixes;
+    # score is -inf in empty slots; live slots, in flat order, are the cache rows.
+    ids = np.full((n, k, 1), BOS_ID, dtype=np.int64)
+    score = np.full((n, k), -np.inf)
+    score[:, 0] = 0.0
+    live = np.isfinite(score)
+    best: list[tuple | None] = [None] * n   # (-score, ids) of the best finished
+    parents = None                           # cache row of each live slot's parent
+    for t in range(1, cfg.max_len + 1):
+        if not live.any():
             break
         if parents is not None:
-            cache.reorder(np.asarray(parents, dtype=np.int64))
-        live = [[h for h in beams[s] if not h.finished] for s in active]
-        rows = [h for hyps in live for h in hyps]   # in cache-row order
-        last = np.array([[h.ids[-1]] for h in rows], dtype=np.int64)
-        row_tags = np.repeat(tgt_ids[active], [len(hyps) for hyps in live])
-        logits = model.decode_forward(None, None, last, row_tags, cache=cache).data[:, -1, :]
+            cache.reorder(parents)
+        rows = np.flatnonzero(live)
+        logits = model.decode_forward(None, None, ids.reshape(n * k, t)[rows, -1:],
+                                      tgt_ids[rows // k], cache=cache).data[:, -1, :]
         logp = logits - _logsumexp(logits)
-        scores = (np.array([h.score for h in rows])[:, None]
-                  + logp[:, allowed].astype(np.float64))
-
-        parents, still_active, first = [], [], 0
-        for s, hyps in zip(active, live):
-            finished = [h for h in beams[s] if h.finished]
-            picked = _top_k(finished, hyps, scores[first:first + len(hyps)], first,
-                            allowed, cfg.beam_size)
-            first += len(hyps)
-            beams[s] = [h for h, _ in picked]
-            for hyp, row in picked:
-                if not hyp.finished:
-                    parents.append(row)
-                # only hypotheses that survive beam selection count as finished
-                elif best[s] is None or hyp.sort_key() < best[s].sort_key():
-                    best[s] = hyp
-            if any(not h.finished for h in beams[s]):
-                still_active.append(s)
-        active = still_active
-
-    results = []
-    for s in range(n_src):
-        winner = best[s] if best[s] is not None else min(beams[s], key=BeamHypothesis.sort_key)
-        out = winner.ids[1:]
-        if winner.finished:
-            out = out[:-1]
-        results.append((out, winner.score))
-    return results
-
-
-def _top_k(finished: list[BeamHypothesis], live: list[BeamHypothesis], scores: np.ndarray,
-           first_row: int, allowed: np.ndarray, k: int):
-    """The k best of `finished` and every extension of `live` by an allowed
-    token (scores: (len(live), len(allowed))), ordered by
-    BeamHypothesis.sort_key; returns (hypothesis, parent's cache row) pairs.
-    Only candidates scoring at least the k-th best score can be among the k
-    best, so only those are built and sorted."""
-    flat = np.concatenate([np.array([h.score for h in finished]), scores.ravel()])
-    if flat.size > k:
-        keep = np.flatnonzero(flat >= np.partition(flat, -k)[-k])
-    else:
-        keep = np.arange(flat.size)
-    picked = []
-    for i in keep.tolist():
-        if i < len(finished):
-            picked.append((finished[i], None))
-        else:
-            j, a = divmod(i - len(finished), len(allowed))
-            tok = int(allowed[a])
-            picked.append((BeamHypothesis(live[j].ids + [tok], float(flat[i]), tok == EOS_ID),
-                           first_row + j))
-    picked.sort(key=lambda pair: pair[0].sort_key())
-    return picked[:k]
+        ext = np.full((n * k, n_tok), -np.inf)
+        ext[rows] = score.ravel()[rows, None] + logp[:, allowed].astype(np.float64)
+        # per source: its finished slots, then every extension of its live slots
+        cand = np.concatenate([np.where(live, -np.inf, score), ext.reshape(n, k * n_tok)], 1)
+        kth = np.partition(cand, -k, axis=1)[:, -k]
+        src_of, col = np.nonzero(np.isfinite(cand) & (cand >= kth[:, None]))
+        slot = np.where(col < k, col, (col - k) // n_tok)
+        tok = np.where(col < k, -1, allowed[(col - k) % n_tok])
+        cand_ids = np.concatenate([ids[src_of, slot], tok[:, None]], axis=1)
+        cand_score = cand[src_of, col]
+        # by source, then higher score, then lexicographic ids; k per source
+        order = np.lexsort((*cand_ids.T[::-1], -cand_score, src_of))
+        rank = np.arange(len(order)) - np.searchsorted(src_of[order], src_of[order])
+        order, rank = order[rank < k], rank[rank < k]
+        src_of, slot, tok = src_of[order], slot[order], tok[order]
+        cand_ids, cand_score = cand_ids[order], cand_score[order]
+        grow = (tok >= 0) & (tok != EOS_ID)
+        # the kept candidates are in (source, rank) order, so the growing ones
+        # are in cache-row order; a parent's cache row is its slot's place in rows
+        parents = np.searchsorted(rows, (src_of * k + slot)[grow])
+        ids = np.full((n, k, t + 1), -1, dtype=np.int64)
+        score = np.full((n, k), -np.inf)
+        live = np.zeros((n, k), dtype=bool)
+        ids[src_of, rank], score[src_of, rank] = cand_ids, cand_score
+        live[src_of, rank] = grow
+        # only hypotheses that survive beam selection count as finished
+        for i in np.flatnonzero(tok == EOS_ID).tolist():
+            s = int(src_of[i])
+            key = (-float(cand_score[i]), tuple(cand_ids[i].tolist()))
+            if best[s] is None or key < best[s]:
+                best[s] = key
+    return [(list(b[1][1:-1]), -b[0]) if b is not None
+            else (ids[s, 0, 1:].tolist(), float(score[s, 0])) for s, b in enumerate(best)]
 
 
 def _logsumexp(x: np.ndarray) -> np.ndarray:

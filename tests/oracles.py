@@ -3,7 +3,8 @@
 Everything here is deliberately written from the definitions, separately from
 the package code paths it checks: brute-force pair counting, the task rule, a
 re-derived twin-language translation, central finite differences, exhaustive
-decode enumeration, and direct-formula BLEU/ROUGE.
+decode enumeration, an uncached full-sort beam search, and direct-formula
+BLEU/ROUGE.
 """
 
 from __future__ import annotations
@@ -127,6 +128,42 @@ def exhaustive_decode(model, input_ids, src_lang, tgt_lang_id, allowed, max_len)
     if finished:
         content = content[:-1]
     return content, score
+
+
+def reference_beam(model, input_ids, src_lang, tgt_lang_id, allowed, k, max_len):
+    """Beam search the plain way: no cache (each step decodes the full prefix),
+    and each step fully sorts every candidate by (-score, ids) and keeps k.
+
+    Finished hypotheses ride along unextended; the best one that survived a
+    selection wins, else the best of the last beam. Returns (content ids, score).
+    """
+    def key(h):
+        return -h[0], tuple(h[1])
+
+    with ad.no_grad():
+        src = np.asarray([list(input_ids)], dtype=np.int64)
+        enc = model.encode(src, np.full_like(src, src_lang.id))
+        beam = [(0.0, [BOS_ID], False)]   # (score, BOS-prefixed ids, finished)
+        best = None
+        for _ in range(max_len):
+            if all(done for _, _, done in beam):
+                break
+            candidates = [h for h in beam if h[2]]
+            for score, seq, done in beam:
+                if done:
+                    continue
+                logits = model.decode_forward(enc, None, np.asarray([seq]), tgt_lang_id)
+                row = logits.data[0, -1, :]
+                m = row.max()
+                logp = row - (m + math.log(np.exp(row - m).sum()))
+                candidates += [(score + float(logp[tok]), seq + [int(tok)], tok == EOS_ID)
+                               for tok in allowed]
+            beam = sorted(candidates, key=key)[:k]
+            for h in beam:
+                if h[2] and (best is None or key(h) < key(best)):
+                    best = h
+    score, seq, done = best if best is not None else beam[0]
+    return (seq[1:-1] if done else seq[1:]), score
 
 
 def _ref_ngram_list(seq, n):

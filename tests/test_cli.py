@@ -338,6 +338,60 @@ def test_generate_rejects_unknown_restrict_language(workspace, tmp_path, capsys)
     assert not out.exists()
 
 
+def test_generate_rejects_empty_restrict_file(workspace, tmp_path, capsys):
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text(json.dumps({"input": [6, 7], "src_lang": "la",
+                                    "tgt_lang": "lb"}) + "\n")
+    restrict = tmp_path / "empty.jsonl"
+    restrict.write_text("")
+    out = tmp_path / "o.jsonl"
+    code = run(*FAST, "generate", "--ckpt", str(workspace["stage2"]), "--manifest",
+               str(manifest), "--out", str(out), "--restrict", str(restrict))
+    assert code == 2
+    assert f"{restrict}: cannot restrict vocabulary from an empty corpus" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
+def _forbid_training(monkeypatch):
+    import crossgen.experiments as experiments
+
+    def fail(*args, **kwargs):
+        raise AssertionError("training started")
+    monkeypatch.setattr(experiments, "pretrain_stage1", fail)
+
+
+@pytest.mark.parametrize("sets, command, flags, key", [
+    ([], "generate", ["--beam", "0"], "beam_size"),
+    ([], "generate", ["--max-len", "0"], "max_len"),
+    (["--set", "decode.beam_size=0"], "generate", [], "beam_size"),
+    (["--set", "decode.beam_size=0"], "ablate", [], "beam_size"),
+], ids=["generate-beam", "generate-max-len", "generate-config", "ablate-config"])
+def test_bad_decode_setting_exits_2_before_any_work(workspace, tmp_path, capsys, monkeypatch,
+                                                    sets, command, flags, key):
+    _forbid_training(monkeypatch)
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text(json.dumps({"input": [6, 7], "src_lang": "la",
+                                    "tgt_lang": "lb"}) + "\n")
+    out = tmp_path / "out.json"
+    paths = {"generate": ["--ckpt", str(workspace["stage2"]), "--manifest", str(manifest),
+                          "--out", str(out)],
+             "ablate": ["--which", "no_dae", "--report", str(out)]}
+    assert run(*FAST, *sets, command, *paths[command], *flags) == 2
+    assert f"config section decode: {key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_ablate_checks_variant_weights_before_training(tmp_path, capsys, monkeypatch):
+    _forbid_training(monkeypatch)
+    report = tmp_path / "r.json"
+    assert run(*FAST, "--set", "stage2.dae_weight=0", "ablate", "--which", "no_xae",
+               "--report", str(report)) == 2
+    assert ("config section stage2: a plan needs at least one active objective "
+            "(stage-2 variant no_xae)") in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_truncated_checkpoint_is_a_usage_error(workspace, tmp_path, capsys):
     ckpt = tmp_path / "truncated.ckpt"
     ckpt.write_bytes(workspace["stage2"].read_bytes()[:-8])

@@ -1,4 +1,7 @@
 import numpy as np
+import pytest
+
+import crossgen.experiments as experiments
 
 from crossgen.corpus import SynthConfig
 from crossgen.evaluation import lang_membership
@@ -62,3 +65,14 @@ def test_membership_cells_match_per_example_beam_search():
                                    data.twin.lexicons[tag.name])
                    for s in data.probe_sentences[src.name]]
             assert cells[src.name, tag.name] == ref
+
+
+def test_variant_weights_are_checked_before_stage1(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("stage 1 started")
+    monkeypatch.setattr(experiments, "pretrain_stage1", fail)
+    data = tiny_data()
+    opt = OptimizerConfig(base_lr=1e-3, warmup_steps=1, total_steps=2)
+    with pytest.raises(ValueError, match=r"active objective \(stage-2 variant no_xae\)"):
+        pretrain_variants(tiny_model(len(data.twin.vocab)), data, ("full", "no_xae"), opt, opt,
+                          NoiseConfig(), seed=0, dae_weight=0.0)

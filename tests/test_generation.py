@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from oracles import exhaustive_decode
+from oracles import exhaustive_decode, reference_beam
 
 from crossgen import generation
 from crossgen.autodiff import Tensor
 from crossgen.corpus import MonolingualCorpus, TaskExample
 from crossgen.evaluation import evaluate_corpus
 from crossgen.experiments import eval_task
-from crossgen.generation import (BeamHypothesis, DecodeConfig, beam_search, beam_search_many,
-                                 restrict_vocab)
+from crossgen.generation import DecodeConfig, beam_search, beam_search_many, restrict_vocab
 from crossgen.model import ModelConfig, Seq2SeqModel
 from crossgen.vocab import (BOS_ID, EOS_ID, MASK_ID, NUM_SPECIALS, PAD_ID, SEP_ID,
                             LanguageTag)
@@ -255,52 +254,79 @@ def test_batched_decode_equals_decoding_each_source_alone(monkeypatch, beam, res
             assert score == pytest.approx(alone_score, abs=1e-9)
 
 
-def test_exact_ties_resolve_by_lexicographic_ids():
+def _tie_model(seed, bias):
     """With the final layer norm zeroed, every step's logits are exactly the
-    output bias, so equal biases give exactly tied candidates."""
-    model = tiny_model(0)
+    output bias: equal integer biases give exactly tied candidates."""
+    model = tiny_model(seed)
     for name in ("dec.final_ln.g", "dec.final_ln.b"):
         model.params[name].data[:] = 0.0
-    bias = model.params["out_bias"].data
-    bias[:] = 0.0
+    model.params["out_bias"].data[:] = bias
+    return model
+
+
+def test_exact_ties_resolve_by_lexicographic_ids():
+    bias = np.zeros(10)
     bias[[7, 8]] = 1.0
+    model = _tie_model(0, bias)
     allowed = {EOS_ID, 7, 8}
     for beam in (1, 2):   # a third slot would admit [EOS], which then wins as finished
         cfg = DecodeConfig(tgt_lang=LB, beam_size=beam, max_len=3, allowed_vocab=allowed)
         results = beam_search_many(model, [[6, 9], [7]], LA, cfg)
         assert [out for out, _ in results] == [[7, 7, 7], [7, 7, 7]]
     # EOS (id 4) ties with 7 and wins on ids: the output is empty
-    bias[EOS_ID] = 1.0
+    model.params["out_bias"].data[EOS_ID] = 1.0
     out, _ = beam_search(model, [6, 9], LA, DecodeConfig(tgt_lang=LB, beam_size=1, max_len=3,
                                                          allowed_vocab=allowed))
     assert out == []
 
 
-def test_top_k_equals_full_sort_under_ties():
-    """Selection from the candidates at or above the k-th score equals sorting
-    every candidate by BeamHypothesis.sort_key, on scores with many exact ties."""
-    rng = np.random.default_rng(3)
-    allowed = np.array([EOS_ID, 6, 7, 8])
-    for _ in range(300):
-        def hyp(finished):
-            body = [int(t) for t in rng.integers(6, 9, size=rng.integers(0, 3))]
-            return BeamHypothesis([BOS_ID] + body + ([EOS_ID] if finished else []),
-                                  float(rng.integers(-4, 0)), finished)
+def _step_model(seed):
+    """Logits quantised to multiples of -50 with one 0 per row: every log-prob
+    is an exact integer (exp(-50) vanishes beside 1), so candidates from
+    parents of different scores tie exactly, and the logits still depend on
+    the whole prefix."""
+    model = tiny_model(seed)
+    decode_forward = model.decode_forward
 
-        finished = [hyp(True) for _ in range(rng.integers(0, 3))]
-        live = [hyp(False) for _ in range(rng.integers(1, 4))]
-        scores = (np.array([h.score for h in live])[:, None]
-                  + rng.integers(-3, 0, size=(len(live), len(allowed))))
-        k = int(rng.integers(1, 7))
-        everything = finished + [
-            BeamHypothesis(h.ids + [int(tok)], float(scores[j, a]), tok == EOS_ID)
-            for j, h in enumerate(live) for a, tok in enumerate(allowed)]
-        want = sorted(everything, key=BeamHypothesis.sort_key)[:k]
-        got = generation._top_k(finished, live, scores, 10, allowed, k)
-        assert [h for h, _ in got] == want
-        for h, row in got:
-            if row is not None:
-                assert h.ids[:-1] == live[row - 10].ids
+    def quantised(*args, **kwargs):
+        logits = decode_forward(*args, **kwargs).data
+        top = logits.argmax(-1)[..., None]
+        q = np.minimum(50.0 * (np.floor(logits * 4) - np.floor(logits.max(-1) * 4)[..., None]),
+                       -50.0)
+        np.put_along_axis(q, top, 0.0, axis=-1)
+        return Tensor(q)
+
+    model.decode_forward = quantised
+    return model
+
+
+@pytest.mark.parametrize("beam", [1, 2, 3, 8])
+@pytest.mark.parametrize("restricted", [False, True])
+def test_beam_search_equals_reference_full_sort_beam(beam, restricted):
+    """The array beam equals an uncached beam that fully sorts every candidate
+    by (-score, ids), on random models and on models with exact ties."""
+    rng = np.random.default_rng(beam)
+    allowed = [EOS_ID, 6, 7, 8] if restricted else list(range(10))
+    # EOS, 7 and 8 tie at every step: [EOS] finishes first, and with beam >= 2
+    # [7, EOS] finishes a step later beside it
+    three_way = np.zeros(10)
+    three_way[[EOS_ID, 7, 8]] = 1.0
+    models = ([tiny_model(seed) for seed in range(3)]
+              + [_tie_model(3, three_way)]
+              + [_tie_model(seed, rng.integers(-1, 2, size=10)) for seed in (4, 5)]
+              + [_step_model(seed) for seed in range(6, 12)])
+    sources = [[6, 7, 8], [9], [8, 9, 6, 7], [7, 7], [6, 9, 8, 7, 6]]
+    src_langs = [LA if i % 2 else LB for i in range(len(sources))]
+    tgt_langs = [LB if i % 3 else LA for i in range(len(sources))]
+    cfg = DecodeConfig(tgt_lang=tgt_langs, beam_size=beam, max_len=5,
+                       allowed_vocab=set(allowed) if restricted else None)
+    for model in models:
+        decoded = beam_search_many(model, sources, src_langs, cfg)
+        for src, s_lang, t_lang, (out, score) in zip(sources, src_langs, tgt_langs, decoded):
+            ref_out, ref_score = reference_beam(model, src, s_lang, t_lang.id, allowed,
+                                                beam, 5)
+            assert out == ref_out
+            assert score == pytest.approx(ref_score, abs=1e-9)
 
 
 def test_eval_task_equals_per_example_decoding(monkeypatch):
